@@ -63,6 +63,6 @@ pub use neighbor_exploration::{NeHansenHurwitz, NeHorvitzThompson, NeReweighted}
 pub use neighbor_sample::{NsHansenHurwitz, NsHorvitzThompson};
 pub use request::{Priority, QueryOutcome, QuerySpec, Schedule};
 pub use workload::{
-    run_workload, run_workload_observed, ProgressSnapshot, Workload, WorkloadBuilder,
-    WorkloadProgress, WorkloadReport,
+    run_workload_observed_on, run_workload_on, ProgressSnapshot, StackRun, Workload,
+    WorkloadBuilder, WorkloadProgress, WorkloadReport,
 };

@@ -7,14 +7,15 @@
 //! **workload**: a stream of independent queries — different algorithms,
 //! different budgets, different seeds — arriving in some order and
 //! competing for workers. [`Workload`] models that stream and
-//! [`run_workload`] executes it:
+//! [`run_workload_on`] executes it over any shared backend:
 //!
 //! * queries arrive in a **seeded arrival order** (a Fisher–Yates shuffle
 //!   of the query list under the workload seed);
 //! * a pool of `workers` threads pops queries off the arrival queue
 //!   dynamically (stragglers never idle a whole worker);
 //! * every query gets its **own access stack** —
-//!   `CachedOsn<AdversarialOsn<&GraphOsn>>` over the shared graph view —
+//!   `CachedOsn<AdversarialOsn<&B>>` over the shared backend, built by
+//!   [`Workload::run_query`] —
 //!   so per-query budgets, retry charges, and fault patterns are fully
 //!   isolated, like one crawler client per query against the same remote
 //!   OSN;
@@ -36,10 +37,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use labelcount_graph::{LabeledGraph, TargetLabel};
+use labelcount_graph::TargetLabel;
 use labelcount_osn::{
-    AdversarialOsn, CacheConfig, CachedOsn, FaultConfig, GraphOsn, OsnApi, OsnBackend,
-    ResilienceConfig, RetryPolicy,
+    AdversarialOsn, CacheConfig, CachedOsn, FaultConfig, OsnApi, OsnBackend, ResilienceConfig,
+    RetryPolicy,
 };
 use labelcount_stats::{replication_seed, RunningStats};
 use rand::rngs::StdRng;
@@ -142,6 +143,99 @@ impl Workload {
         order.shuffle(&mut rng);
         order
     }
+
+    /// Runs `q` once through its own access stack over `shared`:
+    /// `CachedOsn<AdversarialOsn<&B>>`, decorated with this workload's
+    /// fault model (reseeded with `fault_seed`), retry policy and
+    /// resilience knobs, with `q`'s hard budget on the session. The
+    /// estimator draws from an RNG seeded with `rng_seed`.
+    ///
+    /// `clock_base` aligns the burst process and breaker with a caller's
+    /// virtual clock (`0` for an unscheduled query); `tick_ceiling` caps
+    /// the session's latency ticks, turning the estimator's step-boundary
+    /// budget poll into a cancellation point. This is the one place a
+    /// per-query stack is built: the workload runner calls it once per
+    /// query, the serving layer's scheduler once per replicate slice.
+    pub fn run_query<B: OsnBackend>(
+        &self,
+        shared: &B,
+        q: &QuerySpec,
+        fault_seed: u64,
+        rng_seed: u64,
+        clock_base: u64,
+        tick_ceiling: Option<u64>,
+    ) -> StackRun {
+        let faults = FaultConfig {
+            seed: fault_seed,
+            ..self.faults
+        };
+        let backend = AdversarialOsn::with_resilience(shared, faults, self.retry, self.resilience);
+        backend.set_clock_base(clock_base);
+        let cache = CachedOsn::with_config(
+            backend,
+            CacheConfig::builder()
+                .serve_stale(self.resilience.serve_stale)
+                .build(),
+        );
+        let session = cache.session();
+        if let Some(b) = q.hard_budget {
+            session.set_budget(b);
+        }
+        if let Some(t) = tick_ceiling {
+            session.set_tick_ceiling(t);
+        }
+        let mut rng = StdRng::seed_from_u64(rng_seed);
+        let estimate =
+            q.algorithm
+                .estimate(&session, q.target, q.budget, &self.run_config, &mut rng);
+        let budget_exhausted = session.budget_exhausted();
+        let session_latency_ticks = session.latency_ticks();
+        let calls_out = session.budget_remaining() == Some(0);
+        let ticks_exceeded = session.ticks_exceeded();
+        let logical_calls = session.api_calls();
+        let retry_charges = session.retry_charges();
+        let stale_served = session.stale_served();
+        drop(session);
+        let faults = cache.backend().fault_stats();
+        StackRun {
+            outcome: QueryOutcome {
+                id: q.id,
+                abbrev: q.algorithm.abbrev(),
+                estimate,
+                logical_calls,
+                retry_charges,
+                backend_attempts: faults.attempts,
+                rate_limited: faults.rate_limited,
+                transient_errors: faults.transient_errors,
+                latency_ticks: faults.latency_ticks,
+                budget_exhausted,
+                bursts: faults.bursts,
+                breaker_opens: faults.breaker_opens,
+                stale_served,
+            },
+            session_latency_ticks,
+            calls_out,
+            ticks_exceeded,
+        }
+    }
+}
+
+/// What one run of a query through its private access stack reads off
+/// the stack ([`Workload::run_query`]).
+pub struct StackRun {
+    /// The outcome as the workload runner reports it: the session's call
+    /// counters and `budget_exhausted()` verdict, plus the fault
+    /// decorator's counters (latency included).
+    pub outcome: QueryOutcome,
+    /// Latency ticks billed through the session
+    /// (`OsnSession::latency_ticks`) — the deadline scheduler's clock
+    /// currency.
+    pub session_latency_ticks: u64,
+    /// Whether the charged-call budget ran dry
+    /// (`budget_remaining() == Some(0)`).
+    pub calls_out: bool,
+    /// Whether the tick ceiling was reached (`ticks_exceeded()`).
+    pub ticks_exceeded: bool,
 }
 
 /// Builder over a fully-formed [`Workload`]: every knob starts at the
@@ -351,7 +445,7 @@ impl WorkloadProgress {
     /// Records one finished query: `Some(estimate)` on success (only
     /// finite values enter the statistics), `None` for a query that
     /// finished without an estimate. Called by the runners
-    /// ([`run_workload_observed`] and the serving layer's scheduler);
+    /// ([`run_workload_observed_on`] and the serving layer's scheduler);
     /// pollers only read.
     pub fn record(&self, estimate: Option<f64>) {
         // Same filter as the deterministic summary: only finite estimates
@@ -371,30 +465,14 @@ impl WorkloadProgress {
     }
 }
 
-/// Runs `workload` over `graph` on up to `workers` threads. See the
-/// [module docs](self) for the execution and determinism model.
-pub fn run_workload(graph: &LabeledGraph, workload: &Workload, workers: usize) -> WorkloadReport {
-    run_workload_observed(graph, workload, workers, &WorkloadProgress::new())
-}
-
-/// [`run_workload`] with a caller-owned [`WorkloadProgress`] that another
-/// thread can poll for anytime partial estimates.
-pub fn run_workload_observed(
-    graph: &LabeledGraph,
-    workload: &Workload,
-    workers: usize,
-    progress: &WorkloadProgress,
-) -> WorkloadReport {
-    run_workload_observed_on(&GraphOsn::new(graph), workload, workers, progress)
-}
-
 /// Runs `workload` over any shared [`OsnBackend`] — the in-RAM
-/// [`GraphOsn`] or the out-of-core `labelcount_osn::PagedGraphOsn` — on up
-/// to `workers` threads.
+/// [`GraphOsn`](labelcount_osn::GraphOsn) or the out-of-core
+/// `labelcount_osn::PagedGraphOsn` — on up to `workers` threads. See the
+/// [module docs](self) for the execution and determinism model.
 ///
-/// Per-query access stacks (`CachedOsn<AdversarialOsn<&B>>`) are built over
-/// `backend` exactly as [`run_workload`] builds them over its `GraphOsn`,
-/// so a backend that serves identical bytes yields a bit-identical report.
+/// Every query runs once through its own access stack
+/// ([`Workload::run_query`]), so a backend that serves identical bytes
+/// yields a bit-identical report.
 pub fn run_workload_on<B: OsnBackend + Sync>(
     backend: &B,
     workload: &Workload,
@@ -416,48 +494,13 @@ pub fn run_workload_observed_on<B: OsnBackend + Sync>(
 
     let run_one = |qi: usize| -> QueryOutcome {
         let q = &workload.queries[qi];
-        let fault_cfg = FaultConfig {
-            seed: replication_seed(replication_seed(workload.seed, stream::QUERY_FAULT), q.id),
-            ..workload.faults
-        };
-        let backend =
-            AdversarialOsn::with_resilience(shared, fault_cfg, workload.retry, workload.resilience);
-        let cache = CachedOsn::with_config(
-            backend,
-            CacheConfig::builder()
-                .serve_stale(workload.resilience.serve_stale)
-                .build(),
-        );
-        let session = cache.session();
-        if let Some(b) = q.hard_budget {
-            session.set_budget(b);
-        }
-        let mut rng = StdRng::seed_from_u64(q.seed);
-        let estimate =
-            q.algorithm
-                .estimate(&session, q.target, q.budget, &workload.run_config, &mut rng);
-        let budget_exhausted = session.budget_exhausted();
-        let logical_calls = session.api_calls();
-        let retry_charges = session.retry_charges();
-        let stale_served = session.stale_served();
-        drop(session);
-        let faults = cache.backend().fault_stats();
-        progress.record(estimate.as_ref().ok().copied());
-        QueryOutcome {
-            id: q.id,
-            abbrev: q.algorithm.abbrev(),
-            estimate,
-            logical_calls,
-            retry_charges,
-            backend_attempts: faults.attempts,
-            rate_limited: faults.rate_limited,
-            transient_errors: faults.transient_errors,
-            latency_ticks: faults.latency_ticks,
-            budget_exhausted,
-            bursts: faults.bursts,
-            breaker_opens: faults.breaker_opens,
-            stale_served,
-        }
+        let fault_seed =
+            replication_seed(replication_seed(workload.seed, stream::QUERY_FAULT), q.id);
+        let outcome = workload
+            .run_query(shared, q, fault_seed, q.seed, 0, None)
+            .outcome;
+        progress.record(outcome.estimate.as_ref().ok().copied());
+        outcome
     };
 
     let mut outcomes: Vec<QueryOutcome> = if workers == 1 || n <= 1 {
@@ -503,6 +546,8 @@ mod tests {
     use crate::error::EstimateError;
     use labelcount_graph::gen::barabasi_albert;
     use labelcount_graph::labels::{assign_binary_labels, with_labels};
+    use labelcount_graph::LabeledGraph;
+    use labelcount_osn::GraphOsn;
 
     fn fixture(seed: u64) -> LabeledGraph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -570,7 +615,7 @@ mod tests {
     #[test]
     fn report_is_in_id_order_with_sound_accounting() {
         let g = fixture(1);
-        let report = run_workload(&g, &mixed(10, 7, 0.3), 2);
+        let report = run_workload_on(&GraphOsn::new(&g), &mixed(10, 7, 0.3), 2);
         assert_eq!(report.outcomes.len(), 10);
         for (i, o) in report.outcomes.iter().enumerate() {
             assert_eq!(o.id, i as u64);
@@ -592,7 +637,7 @@ mod tests {
     fn clean_faults_charge_nothing() {
         let g = fixture(2);
         let w = Workload::mixed(6, target(), 80, 3, cfg());
-        let report = run_workload(&g, &w, 3);
+        let report = run_workload_on(&GraphOsn::new(&g), &w, 3);
         assert_eq!(report.total_retry_charges(), 0);
         assert_eq!(report.budget_exhausted_queries(), 0);
         for o in &report.outcomes {
@@ -607,9 +652,9 @@ mod tests {
     fn worker_count_never_changes_the_report() {
         let g = fixture(3);
         let w = mixed(9, 11, 0.35);
-        let baseline = run_workload(&g, &w, 1);
+        let baseline = run_workload_on(&GraphOsn::new(&g), &w, 1);
         for workers in [2usize, 4, 8] {
-            let r = run_workload(&g, &w, workers);
+            let r = run_workload_on(&GraphOsn::new(&g), &w, workers);
             assert_eq!(r.outcomes.len(), baseline.outcomes.len());
             for (a, b) in baseline.outcomes.iter().zip(&r.outcomes) {
                 assert_eq!(a.id, b.id);
@@ -640,7 +685,7 @@ mod tests {
             q.hard_budget = Some(60); // far below the 100-call sample budget
             q.budget = 1_000;
         }
-        let report = run_workload(&g, &w, 2);
+        let report = run_workload_on(&GraphOsn::new(&g), &w, 2);
         assert!(
             report.budget_exhausted_queries() > 0,
             "a 0.5-fault-rate API under a 60-call budget must exhaust"
@@ -661,7 +706,7 @@ mod tests {
         let g = fixture(5);
         let w = mixed(7, 17, 0.2);
         let progress = WorkloadProgress::new();
-        let report = run_workload_observed(&g, &w, 4, &progress);
+        let report = run_workload_observed_on(&GraphOsn::new(&g), &w, 4, &progress);
         assert_eq!(progress.completed(), 7);
         // The anytime view saw every successful estimate (order may
         // differ; count and extremes cannot).
@@ -701,8 +746,8 @@ mod tests {
     #[test]
     fn fault_rate_raises_realized_cost() {
         let g = fixture(6);
-        let clean = run_workload(&g, &mixed(8, 19, 0.0), 2);
-        let hostile = run_workload(&g, &mixed(8, 19, 0.4), 2);
+        let clean = run_workload_on(&GraphOsn::new(&g), &mixed(8, 19, 0.0), 2);
+        let hostile = run_workload_on(&GraphOsn::new(&g), &mixed(8, 19, 0.4), 2);
         assert!(
             hostile.total_backend_attempts() > clean.total_backend_attempts(),
             "faults must raise the realized API cost: {} vs {}",

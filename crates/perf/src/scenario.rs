@@ -11,9 +11,8 @@
 use std::time::Instant;
 
 use labelcount_core::{
-    algorithms, motifs, size,
-    workload::{run_workload, run_workload_on},
-    Engine, NsHansenHurwitz, RunConfig, Workload,
+    algorithms, motifs, size, workload::run_workload_on, Engine, NsHansenHurwitz, RunConfig,
+    Workload,
 };
 use labelcount_graph::churn::ChurnConfig;
 use labelcount_graph::components::largest_component;
@@ -26,7 +25,8 @@ use labelcount_graph::paged::{
 use labelcount_graph::{GroundTruth, LabeledGraph, NodeId, TargetLabel};
 use labelcount_osn::{
     AdversarialOsn, BreakerConfig, BurstConfig, CacheConfig, CachedOsn, ChurnOsn, FaultConfig,
-    LineGraphView, OsnApi, OsnApiExt, PagedGraphOsn, ResilienceConfig, RetryPolicy, SimulatedOsn,
+    GraphOsn, LineGraphView, OsnApi, OsnApiExt, PagedGraphOsn, ResilienceConfig, RetryPolicy,
+    SimulatedOsn,
 };
 use labelcount_serve::{
     AdmissionConfig, GraphKey, QuotaPolicy, RateLimit, RateLimitPolicy, SchedulePolicy,
@@ -838,11 +838,12 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             RetryPolicy::default(),
         )
         .build();
+    let ram = GraphOsn::new(&g);
     let t0 = Instant::now();
-    let wl_serial = run_workload(&g, &wl, 1);
+    let wl_serial = run_workload_on(&ram, &wl, 1);
     let workload_serial_ms = ms(t0);
     let t0 = Instant::now();
-    let wl_parallel = run_workload(&g, &wl, threads);
+    let wl_parallel = run_workload_on(&ram, &wl, threads);
     let workload_parallel_ms = ms(t0);
     let serial_bits: Vec<Option<u64>> = wl_serial
         .outcomes

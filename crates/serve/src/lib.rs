@@ -33,13 +33,13 @@
 //! **bit-identical at any shard count and any worker count**. Three design
 //! rules make that true:
 //!
-//! 1. admission decisions are made serially in the seeded arrival order
+//! 1. admission decisions are made serially in the run's arrival order
 //!    against a *modelled* queue (arrivals and a fixed drain rate), never
 //!    against wall-clock execution state;
-//! 2. every admitted query runs in its own
-//!    `CachedOsn<AdversarialOsn<&GraphOsn>>` stack with seeds derived from
-//!    (service seed, graph key, query id) — the shard that hosts it only
-//!    decides *where* the work runs;
+//! 2. every admitted query runs in its own `CachedOsn<AdversarialOsn<&B>>`
+//!    stack ([`labelcount_core::Workload::run_query`]) with seeds derived
+//!    from (service seed, graph key, query id) — the shard that hosts it
+//!    only decides *where* the work runs;
 //! 3. the report aggregates in query-id order; only the live
 //!    [`ServiceProgress`] view is interleaving-dependent, which is the
 //!    point of an anytime estimate.

@@ -1,24 +1,39 @@
-//! Deadline-aware scheduled serving: a deterministic discrete-event loop
-//! over **virtual latency ticks**, with cancellation, priorities, and
-//! anytime answers.
+//! Deadline-aware scheduled serving: the second executor of the serving
+//! pipeline — a deterministic discrete-event loop over **virtual latency
+//! ticks**, with cancellation, priorities, and anytime answers.
 //!
-//! The plain service path ([`ShardedService::run`]) executes every
-//! admitted request to completion — a deadline can only be observed, never
-//! enforced. This module adds the enforcing path,
-//! [`ShardedService::run_scheduled`]:
+//! [`ShardedService::run`] and [`ShardedService::run_scheduled`] share one
+//! admission pass, one per-query access stack
+//! ([`labelcount_core::Workload::run_query`]) and one report assembly
+//! (see [`crate::service`]). They differ in exactly these points, so the
+//! two runs do not return the same report for the same workload:
+//!
+//! * **arrival order** — `run` admits in a seeded shuffle of the
+//!   requests; `run_scheduled` in `(arrival_tick, id)` order;
+//! * **queue model** — `run` drains the modelled queues by arrival count
+//!   ([`AdmissionState::decide`](crate::admission::AdmissionState::decide));
+//!   `run_scheduled` by virtual time, with wait-based shedding
+//!   ([`AdmissionState::decide_scheduled`](crate::admission::AdmissionState::decide_scheduled));
+//! * **executor** — `run` hands each graph's admitted queries to a worker
+//!   pool that runs every query once, to completion, with no deadline
+//!   enforced; `run_scheduled` runs each graph's queries in one serial
+//!   event loop as [`SchedulePolicy::replicates`] replicate slices and
+//!   cancels a query whose deadline passes;
+//! * **seed streams** — per-graph seeds derive from different stream
+//!   ids, and `run` draws one fault seed per query where `run_scheduled`
+//!   draws one per replicate slice.
+//!
+//! The event loop:
 //!
 //! * every request carries a [`Schedule`] — an `arrival_tick`, an optional
 //!   relative deadline, and a [`Priority`] — stamped by a seeded
 //!   [`SchedulePolicy`] through the workload builder;
-//! * each registered graph runs a **serial discrete-event loop**: a
-//!   virtual clock advances by exactly the latency ticks the adversarial
-//!   backend bills each execution slice ([`labelcount_osn::FetchCost`]),
-//!   never by wall time;
-//! * an admitted query executes as [`SchedulePolicy::replicates`]
-//!   replicate slices; before each slice the scheduler sets the session's
-//!   **tick ceiling** to `deadline − clock`, so the estimator's existing
-//!   step-boundary budget poll doubles as the cancellation yield point —
-//!   no estimator changes, no preemption;
+//! * a virtual clock advances by exactly the latency ticks each execution
+//!   slice bills ([`labelcount_osn::FetchCost`]), never by wall time;
+//! * before each slice the session's **tick ceiling** is set to the
+//!   remaining slack (`deadline − clock + 1`, saturating), so the
+//!   estimator's existing step-boundary budget poll doubles as the
+//!   cancellation yield point — no estimator changes, no preemption;
 //! * when a deadline passes, the query is cancelled into an **anytime
 //!   answer** ([`ServiceStatus::DeadlineAnytime`]): the running mean ± a
 //!   95% CI over the replicates that finished, falling back to the graph's
@@ -34,24 +49,16 @@
 //! **bit-identical at any shard count and any worker count**; shards and
 //! workers only decide which OS thread hosts which graph's loop.
 
-use std::sync::Mutex;
-
 use labelcount_core::{
-    EstimateError, Priority, ProgressSnapshot, QueryOutcome, QuerySpec, Schedule, WorkloadProgress,
+    EstimateError, Priority, ProgressSnapshot, QueryOutcome, QuerySpec, Schedule, Workload,
+    WorkloadProgress,
 };
-use labelcount_osn::{
-    AdversarialOsn, CacheConfig, CachedOsn, ChurnOsn, FaultConfig, GraphOsn, OsnApi, OsnBackend,
-    ResilienceConfig, RetryPolicy,
-};
+use labelcount_osn::{ChurnOsn, OsnBackend};
 use labelcount_stats::{replication_seed, RunningStats};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::admission::{unit_hash, AdmissionDecision, AdmissionState};
-use crate::router::{GraphKey, TenantId};
+use crate::admission::unit_hash;
 use crate::service::{
-    AnyEngine, ServiceOutcome, ServiceProgress, ServiceReport, ServiceRequest, ServiceStatus,
-    ServiceWorkload, ServingCounters, ShardedService,
+    AnyEngine, ServiceProgress, ServiceReport, ServiceStatus, ServiceWorkload, ShardedService,
 };
 
 /// Stream ids for the scheduler's internal seed derivations.
@@ -152,8 +159,11 @@ impl SchedulePolicy {
         for req in &mut workload.requests {
             let id = req.query.id;
             if self.mean_interarrival_ticks > 0 {
-                let span = 2 * self.mean_interarrival_ticks - 1;
-                clock += 1 + (unit_hash(gap_seed, id) * span as f64) as u64;
+                // Saturating: huge means clamp arrivals at `u64::MAX`,
+                // like `Schedule::deadline_tick`.
+                let span = self.mean_interarrival_ticks.saturating_mul(2) - 1;
+                let gap = 1 + (unit_hash(gap_seed, id) * span as f64) as u64;
+                clock = clock.saturating_add(gap);
             }
             let u = unit_hash(prio_seed, id);
             let priority = if u < self.high_frac {
@@ -191,12 +201,12 @@ pub struct SchedulingCounters {
 }
 
 /// Per-loop counter accumulator (slack kept as a sum until the final
-/// merge).
+/// merge; 128-bit, so slacks near `u64::MAX` cannot overflow it).
 #[derive(Clone, Copy, Debug, Default)]
 struct LoopCounters {
     deadline_hits: u64,
     cancellations: u64,
-    slack_sum: u64,
+    slack_sum: u128,
     priority_inversions: u64,
 }
 
@@ -222,77 +232,20 @@ impl LoopCounters {
     }
 }
 
-/// What one graph's event loop decided for one admitted query.
-enum TaskStatus {
-    Done(QueryOutcome),
-    Cancelled {
-        completed_replicates: u64,
-        anytime: Option<f64>,
-        ci_halfwidth: f64,
-        cancelled_at_tick: u64,
-    },
-}
-
-/// The result of one graph's event loop.
-struct GraphLoopResult {
-    /// `(query id, status)`, in query-id order.
-    results: Vec<(u64, TaskStatus)>,
-    /// Summary over completed finite estimates, accumulated in id order —
-    /// the graph-level anytime answer for shed / quota-rejected requests.
-    summary: RunningStats,
-    counters: LoopCounters,
-}
-
-impl GraphLoopResult {
-    fn status_of(&self, id: u64) -> &TaskStatus {
-        let i = self
-            .results
-            .binary_search_by_key(&id, |(rid, _)| *rid)
-            .expect("admitted query has a scheduled outcome");
-        &self.results[i].1
-    }
-}
-
 /// Live execution state of one admitted query inside a graph loop.
-struct TaskState {
-    spec: QuerySpec,
+struct TaskState<'w> {
+    spec: &'w QuerySpec,
     next_rep: u64,
     stats: RunningStats,
     last_err: Option<EstimateError>,
-    logical_calls: u64,
-    retry_charges: u64,
-    backend_attempts: u64,
-    rate_limited: u64,
-    transient_errors: u64,
-    latency_ticks: u64,
-    budget_exhausted: bool,
-    bursts: u64,
-    breaker_opens: u64,
-    stale_served: u64,
-    finished: Option<TaskStatus>,
+    /// Counters summed over the slices run so far (`None` before the
+    /// first); its estimate is replaced when the query completes.
+    total: Option<QueryOutcome>,
+    /// `Completed` or `DeadlineAnytime`, once decided.
+    finished: Option<ServiceStatus>,
 }
 
-impl TaskState {
-    fn new(spec: QuerySpec) -> TaskState {
-        TaskState {
-            spec,
-            next_rep: 0,
-            stats: RunningStats::new(),
-            last_err: None,
-            logical_calls: 0,
-            retry_charges: 0,
-            backend_attempts: 0,
-            rate_limited: 0,
-            transient_errors: 0,
-            latency_ticks: 0,
-            budget_exhausted: false,
-            bursts: 0,
-            breaker_opens: 0,
-            stale_served: 0,
-            finished: None,
-        }
-    }
-
+impl TaskState<'_> {
     fn arrival(&self) -> u64 {
         self.spec.schedule.arrival_tick
     }
@@ -306,11 +259,35 @@ impl TaskState {
     }
 }
 
-/// Runs one graph's discrete-event loop to completion. Strictly serial:
-/// the loop IS the graph's single virtual timeline, which is what makes
-/// the per-graph progress fallback (and everything else) deterministic.
+/// Adds one replicate slice's counters to a query's running total (the
+/// first slice starts it).
+fn absorb(total: &mut Option<QueryOutcome>, slice: &QueryOutcome) {
+    match total.as_mut() {
+        None => *total = Some(slice.clone()),
+        Some(t) => {
+            t.logical_calls += slice.logical_calls;
+            t.retry_charges += slice.retry_charges;
+            t.backend_attempts += slice.backend_attempts;
+            t.rate_limited += slice.rate_limited;
+            t.transient_errors += slice.transient_errors;
+            t.latency_ticks += slice.latency_ticks;
+            t.budget_exhausted |= slice.budget_exhausted;
+            t.bursts += slice.bursts;
+            t.breaker_opens += slice.breaker_opens;
+            t.stale_served += slice.stale_served;
+        }
+    }
+}
+
+/// Runs one graph's discrete-event loop over the admitted queries of
+/// `workload` to completion. Strictly serial: the loop IS the graph's
+/// single virtual timeline, which is what makes the per-graph progress
+/// fallback (and everything else) deterministic. Returns each query's
+/// status ([`ServiceStatus::Completed`] or
+/// [`ServiceStatus::DeadlineAnytime`]) in id order, plus the loop's
+/// counters.
 ///
-/// Generic over the backend: the in-RAM [`GraphOsn`] and the out-of-core
+/// Generic over the backend: the in-RAM `GraphOsn` and the out-of-core
 /// `labelcount_osn::PagedGraphOsn` both serve identical bytes, so the
 /// loop's virtual timeline — and every counter derived from it — is
 /// backend-independent.
@@ -324,13 +301,22 @@ impl TaskState {
 fn run_graph_loop<B: OsnBackend>(
     shared: &B,
     churn: Option<&ChurnOsn>,
-    tasks: Vec<QuerySpec>,
-    workload: &WorkloadKnobs,
-    fault_base: u64,
+    workload: &Workload,
     replicates: u64,
     progress: &WorkloadProgress,
-) -> GraphLoopResult {
-    let mut tasks: Vec<TaskState> = tasks.into_iter().map(TaskState::new).collect();
+) -> (Vec<(u64, ServiceStatus)>, LoopCounters) {
+    let mut tasks: Vec<TaskState<'_>> = workload
+        .queries
+        .iter()
+        .map(|spec| TaskState {
+            spec,
+            next_rep: 0,
+            stats: RunningStats::new(),
+            last_err: None,
+            total: None,
+            finished: None,
+        })
+        .collect();
     let mut counters = LoopCounters::default();
     let mut clock = 0u64;
 
@@ -357,7 +343,7 @@ fn run_graph_loop<B: OsnBackend>(
                         let graph = progress.partial_estimates();
                         ((!graph.is_empty()).then(|| graph.mean()), 0.0)
                     };
-                    t.finished = Some(TaskStatus::Cancelled {
+                    t.finished = Some(ServiceStatus::DeadlineAnytime {
                         completed_replicates: t.next_rep,
                         anytime,
                         ci_halfwidth: ci,
@@ -398,68 +384,40 @@ fn run_graph_loop<B: OsnBackend>(
             }
         };
 
-        // One replicate slice. The slice's tick allowance is whatever
-        // remains until the deadline; the session's tick ceiling turns the
-        // estimator's step-boundary budget poll into the cancellation
-        // yield point. The sweep above guarantees `clock < deadline` here.
+        // One replicate slice through the query's own access stack, with
+        // a fault stream per (graph, query, replicate). The stack's burst
+        // process and breaker run on the loop's virtual clock, not each
+        // slice's private tick 0: a burst raging at tick 10_000 must hit
+        // the slice that runs there. The slice's tick allowance is
+        // whatever remains until the deadline; the session's tick ceiling
+        // turns the estimator's step-boundary budget poll into the
+        // cancellation yield point. The sweep above guarantees
+        // `clock < deadline` here.
         let (slice_ticks, ticks_cut) = {
             let t = &mut tasks[ti];
-            let fault_cfg = FaultConfig {
-                seed: replication_seed(replication_seed(fault_base, t.spec.id), t.next_rep),
-                ..workload.faults
-            };
-            let backend = AdversarialOsn::with_resilience(
+            // Allowance is slack + 1: `ticks_exceeded` is `>=`, and a
+            // slice that bills *exactly* the remaining slack ends ON the
+            // deadline — a hit with zero slack, not a miss. Only going
+            // strictly past the deadline cuts the slice. Saturating: a
+            // deadline at the end of time grants every remaining tick.
+            let ceiling = t.deadline().map(|d| (d - clock).saturating_add(1));
+            let run = workload.run_query(
                 shared,
-                fault_cfg,
-                workload.retry,
-                workload.resilience,
+                t.spec,
+                replication_seed(replication_seed(workload.seed, t.spec.id), t.next_rep),
+                replication_seed(t.spec.seed, t.next_rep),
+                clock,
+                ceiling,
             );
-            // The burst process and breaker run on the loop's virtual
-            // clock, not each slice's private tick 0: a burst raging at
-            // tick 10_000 must hit the slice that runs there.
-            backend.set_clock_base(clock);
-            let cache = CachedOsn::with_config(
-                backend,
-                CacheConfig::builder()
-                    .serve_stale(workload.resilience.serve_stale)
-                    .build(),
-            );
-            let session = cache.session();
-            if let Some(b) = t.spec.hard_budget {
-                session.set_budget(b);
-            }
-            if let Some(d) = t.deadline() {
-                // Allowance is slack + 1: `ticks_exceeded` is `>=`, and a
-                // slice that bills *exactly* the remaining slack ends ON
-                // the deadline — a hit with zero slack, not a miss. Only
-                // going strictly past the deadline cuts the slice.
-                session.set_tick_ceiling(d - clock + 1);
-            }
-            let mut rng = StdRng::seed_from_u64(replication_seed(t.spec.seed, t.next_rep));
-            let estimate = t.spec.algorithm.estimate(
-                &session,
-                t.spec.target,
-                t.spec.budget,
-                &workload.run_config,
-                &mut rng,
-            );
-            let slice_ticks = session.latency_ticks();
-            let ticks_cut = session.ticks_exceeded() && estimate.is_err();
-            let calls_out = session.budget_remaining() == Some(0);
-            t.logical_calls += session.api_calls();
-            t.retry_charges += session.retry_charges();
-            let stale_served = session.stale_served();
-            drop(session);
-            let faults = cache.backend().fault_stats();
-            t.backend_attempts += faults.attempts;
-            t.rate_limited += faults.rate_limited;
-            t.transient_errors += faults.transient_errors;
-            t.latency_ticks += slice_ticks;
-            t.bursts += faults.bursts;
-            t.breaker_opens += faults.breaker_opens;
-            t.stale_served += stale_served;
-
-            match estimate {
+            let mut slice = run.outcome;
+            let ticks_cut = run.ticks_exceeded && slice.estimate.is_err();
+            // The loop bills what the session billed, and counts a spent
+            // call budget only against a slice that failed for it (not
+            // one the deadline cut).
+            slice.latency_ticks = run.session_latency_ticks;
+            slice.budget_exhausted = run.calls_out && slice.estimate.is_err() && !ticks_cut;
+            absorb(&mut t.total, &slice);
+            match slice.estimate {
                 Ok(e) => {
                     if e.is_finite() {
                         t.stats.push(e);
@@ -469,7 +427,6 @@ fn run_graph_loop<B: OsnBackend>(
                 Err(err) if !ticks_cut => {
                     // An ordinary failure (e.g. the call budget ran out):
                     // the replicate is spent, the query keeps its slot.
-                    t.budget_exhausted |= calls_out;
                     t.last_err = Some(err);
                     t.next_rep += 1;
                 }
@@ -479,14 +436,14 @@ fn run_graph_loop<B: OsnBackend>(
                     // clock has advanced past its deadline below.
                 }
             }
-            (slice_ticks, ticks_cut)
+            (run.session_latency_ticks, ticks_cut)
         };
 
         // Advance virtual time by exactly what the slice billed, and
         // charge priority inversions: higher-priority arrivals that landed
         // while this (lower-priority) slice held the loop.
         let before = clock;
-        clock += slice_ticks;
+        clock = clock.saturating_add(slice_ticks);
         let running_rank = tasks[ti].rank();
         counters.priority_inversions += tasks
             .iter()
@@ -517,70 +474,31 @@ fn run_graph_loop<B: OsnBackend>(
             if let Some(d) = t.deadline() {
                 if clock <= d {
                     counters.deadline_hits += 1;
-                    counters.slack_sum += d - clock;
+                    counters.slack_sum += u128::from(d - clock);
                 }
             }
-            let estimate = if t.stats.count() > 0 {
+            let mut outcome = t.total.take().expect("a finished query ran a slice");
+            outcome.estimate = if t.stats.count() > 0 {
                 Ok(t.stats.mean())
             } else {
                 Err(t
                     .last_err
-                    .clone()
+                    .take()
                     .expect("a no-estimate query recorded an error"))
             };
-            progress.record(estimate.as_ref().ok().copied());
-            t.finished = Some(TaskStatus::Done(QueryOutcome {
-                id: t.spec.id,
-                abbrev: t.spec.algorithm.abbrev(),
-                estimate,
-                logical_calls: t.logical_calls,
-                retry_charges: t.retry_charges,
-                backend_attempts: t.backend_attempts,
-                rate_limited: t.rate_limited,
-                transient_errors: t.transient_errors,
-                latency_ticks: t.latency_ticks,
-                budget_exhausted: t.budget_exhausted,
-                bursts: t.bursts,
-                breaker_opens: t.breaker_opens,
-                stale_served: t.stale_served,
-            }));
+            progress.record(outcome.estimate.as_ref().ok().copied());
+            t.finished = Some(ServiceStatus::Completed(outcome));
         }
     }
 
-    // Assemble in id order; the deterministic graph summary over completed
-    // finite estimates is the anytime answer for shed requests.
-    let mut results: Vec<(u64, TaskStatus)> = tasks
+    let statuses = tasks
         .into_iter()
         .map(|t| {
-            let id = t.spec.id;
-            (id, t.finished.expect("event loop finished every task"))
+            let status = t.finished.expect("event loop finished every task");
+            (t.spec.id, status)
         })
         .collect();
-    results.sort_by_key(|(id, _)| *id);
-    let mut summary = RunningStats::new();
-    for (_, st) in &results {
-        if let TaskStatus::Done(q) = st {
-            if let Ok(e) = q.estimate {
-                if e.is_finite() {
-                    summary.push(e);
-                }
-            }
-        }
-    }
-    GraphLoopResult {
-        results,
-        summary,
-        counters,
-    }
-}
-
-/// The service-level knobs a graph loop needs (borrowed out of the
-/// [`ServiceWorkload`] once, so loops never touch the request list).
-struct WorkloadKnobs {
-    faults: FaultConfig,
-    retry: RetryPolicy,
-    resilience: ResilienceConfig,
-    run_config: labelcount_core::RunConfig,
+    (statuses, counters)
 }
 
 impl<'g> ShardedService<'g> {
@@ -591,9 +509,11 @@ impl<'g> ShardedService<'g> {
     /// order with [`SchedulingCounters`] attached.
     ///
     /// Requests carry their [`Schedule`]s; stamp them with
-    /// [`crate::ServiceWorkloadBuilder::schedule`]. The returned
-    /// [`ServiceReport`] is bit-identical at any shard count and any
-    /// worker count.
+    /// [`crate::ServiceWorkloadBuilder::schedule`]. This is the scheduled
+    /// executor of the shared serving pipeline; what it does differently
+    /// from [`ShardedService::run`] is listed in the
+    /// [module docs](self). The returned [`ServiceReport`] is
+    /// bit-identical at any shard count and any worker count.
     pub fn run_scheduled(&self, workload: ServiceWorkload, workers: usize) -> ServiceReport {
         let progress = ServiceProgress::for_service(self);
         self.run_scheduled_observed(workload, workers, &progress)
@@ -609,293 +529,58 @@ impl<'g> ShardedService<'g> {
         workers: usize,
         progress: &ServiceProgress,
     ) -> ServiceReport {
-        assert_eq!(
-            progress.slots.len(),
-            self.graphs.len(),
-            "progress view was not built for this service"
-        );
-        let n = workload.requests.len();
-        for w in workload.requests.windows(2) {
-            assert!(
-                w[0].id() < w[1].id(),
-                "request ids must be strictly increasing"
-            );
-        }
         let policy = workload.scheduling.clone().unwrap_or_default();
         policy.validate();
-
-        // Phase 1 — virtual-time admission, serially in ascending
-        // (arrival_tick, id) order against the modelled per-graph queues.
-        let order = workload.scheduled_arrival_order();
-        let mut admission = AdmissionState::with_rate_limits(
-            self.graphs.len(),
-            workload.admission,
-            workload.quotas.clone(),
-            workload.rate_limits.clone(),
-            workload.seed,
-        );
-        enum Decided {
-            Known(usize, AdmissionDecision),
-            Unknown,
-        }
-        let mut decisions: Vec<Option<Decided>> = (0..n).map(|_| None).collect();
-        for &ri in &order {
-            let req = &workload.requests[ri];
-            decisions[ri] = Some(match self.graph_index(req.graph) {
-                Some(gi) => Decided::Known(
-                    gi,
-                    admission.decide_scheduled(
-                        req.id(),
-                        req.tenant,
-                        gi,
-                        req.query.hard_budget,
-                        req.query.schedule.arrival_tick,
-                    ),
-                ),
-                None => Decided::Unknown,
-            });
-        }
-
-        // Phase 2 — per-graph task lists (id order) and one event loop per
-        // graph, distributed over the shard fleet.
-        let ServiceWorkload {
-            requests,
-            seed,
-            run_config,
-            faults,
-            retry,
-            resilience,
-            ..
-        } = workload;
-        let knobs = WorkloadKnobs {
-            faults,
-            retry,
-            resilience,
-            run_config,
-        };
-        let mut graph_tasks: Vec<Vec<QuerySpec>> =
-            (0..self.graphs.len()).map(|_| Vec::new()).collect();
-        struct Pending {
-            id: u64,
-            tenant: TenantId,
-            graph: GraphKey,
-            shard: usize,
-            decided: Decided,
-        }
-        let mut pending: Vec<Pending> = Vec::with_capacity(n);
-        for (ri, req) in requests.into_iter().enumerate() {
-            let decided = decisions[ri].take().expect("every request was decided");
-            let shard = self.shard_of(req.graph);
-            let id = req.id();
-            let ServiceRequest {
-                tenant,
-                graph,
-                query,
-            } = req;
-            if let Decided::Known(gi, AdmissionDecision::Admitted { effective_budget }) = decided {
-                graph_tasks[gi].push(QuerySpec {
-                    hard_budget: effective_budget,
-                    ..query
-                });
-            }
-            pending.push(Pending {
-                id,
-                tenant,
-                graph,
-                shard,
-                decided,
-            });
-        }
-
-        // Distribute loops: a shard owns its graphs; within a shard, up to
-        // `workers` threads split the graph loops round-robin. Any split
-        // yields the same report — loops share nothing.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.router.shards()];
-        for (gi, tasks) in graph_tasks.iter().enumerate() {
-            if !tasks.is_empty() {
-                by_shard[self.graphs[gi].1].push(gi);
-            }
-        }
-        let fault_root = replication_seed(seed, stream::GRAPH_FAULT);
         let replicates = policy.replicates as u64;
-        let task_slots: Vec<Mutex<Option<Vec<QuerySpec>>>> = graph_tasks
-            .into_iter()
-            .map(|t| Mutex::new(Some(t)))
-            .collect();
-        let slots: Vec<Mutex<Option<GraphLoopResult>>> =
-            (0..self.graphs.len()).map(|_| Mutex::new(None)).collect();
-        let workers = workers.max(1);
-        std::thread::scope(|scope| {
-            for gis in &by_shard {
-                if gis.is_empty() {
-                    continue;
-                }
-                // Round-robin the shard's graph loops over its workers.
-                let buckets = workers.min(gis.len());
-                for b in 0..buckets {
-                    let mine: Vec<usize> = gis.iter().copied().skip(b).step_by(buckets).collect();
-                    let slots = &slots;
-                    let task_slots = &task_slots;
-                    let knobs = &knobs;
-                    scope.spawn(move || {
-                        for gi in mine {
-                            let tasks = task_slots[gi]
-                                .lock()
-                                .unwrap()
-                                .take()
-                                .expect("each graph's tasks are taken once");
-                            let fault_base = replication_seed(fault_root, self.graphs[gi].0 .0);
-                            let result = match &self.graphs[gi].2 {
-                                AnyEngine::Ram(e) => run_graph_loop(
-                                    &GraphOsn::new(e.graph()),
-                                    None,
-                                    tasks,
-                                    knobs,
-                                    fault_base,
-                                    replicates,
-                                    &progress.slots[gi].1,
-                                ),
-                                AnyEngine::Paged(e) => run_graph_loop(
-                                    e.backend(),
-                                    None,
-                                    tasks,
-                                    knobs,
-                                    fault_base,
-                                    replicates,
-                                    &progress.slots[gi].1,
-                                ),
-                                AnyEngine::Churn(e) => run_graph_loop(
-                                    e.backend(),
-                                    Some(e.backend()),
-                                    tasks,
-                                    knobs,
-                                    fault_base,
-                                    replicates,
-                                    &progress.slots[gi].1,
-                                ),
-                            };
-                            *slots[gi].lock().unwrap() = Some(result);
-                        }
-                    });
-                }
-            }
-        });
-        let reports: Vec<Option<GraphLoopResult>> =
-            slots.into_iter().map(|s| s.into_inner().unwrap()).collect();
-
-        // Phase 3 — assemble in request-id order, merging loop counters in
-        // registration order.
-        let mut merged = LoopCounters::default();
-        for r in reports.iter().flatten() {
-            merged.absorb(&r.counters);
-        }
-        let anytime = |gi: usize| -> Option<f64> {
-            let r = reports[gi].as_ref()?;
-            (r.summary.count() > 0).then(|| r.summary.mean())
-        };
-        let mut outcomes = Vec::with_capacity(n);
-        let mut admitted = 0u64;
-        let mut shed = 0u64;
-        let mut quota_exhausted = 0u64;
-        let mut quota_throttled = 0u64;
-        let mut per_tenant: Vec<(TenantId, u64)> = Vec::new();
-        let mut summary = RunningStats::new();
-        for p in pending {
-            let status = match p.decided {
-                Decided::Unknown => ServiceStatus::UnknownGraph,
-                Decided::Known(gi, AdmissionDecision::Admitted { .. }) => {
-                    admitted += 1;
-                    match per_tenant.iter_mut().find(|(t, _)| *t == p.tenant) {
-                        Some((_, c)) => *c += 1,
-                        None => per_tenant.push((p.tenant, 1)),
-                    }
-                    let report = reports[gi].as_ref().expect("admitted graph ran");
-                    match report.status_of(p.id) {
-                        TaskStatus::Done(q) => {
-                            if let Ok(e) = q.estimate {
-                                if e.is_finite() {
-                                    summary.push(e);
-                                }
-                            }
-                            ServiceStatus::Completed(q.clone())
-                        }
-                        TaskStatus::Cancelled {
-                            completed_replicates,
-                            anytime,
-                            ci_halfwidth,
-                            cancelled_at_tick,
-                        } => ServiceStatus::DeadlineAnytime {
-                            completed_replicates: *completed_replicates,
-                            anytime: *anytime,
-                            ci_halfwidth: *ci_halfwidth,
-                            cancelled_at_tick: *cancelled_at_tick,
-                        },
-                    }
-                }
-                Decided::Known(gi, AdmissionDecision::Shed { backlog }) => {
-                    shed += 1;
-                    if !per_tenant.iter().any(|(t, _)| *t == p.tenant) {
-                        per_tenant.push((p.tenant, 0));
-                    }
-                    ServiceStatus::Shed {
-                        backlog,
-                        anytime: anytime(gi),
-                    }
-                }
-                Decided::Known(gi, AdmissionDecision::QuotaExhausted) => {
-                    quota_exhausted += 1;
-                    if !per_tenant.iter().any(|(t, _)| *t == p.tenant) {
-                        per_tenant.push((p.tenant, 0));
-                    }
-                    ServiceStatus::QuotaExhausted {
-                        anytime: anytime(gi),
-                    }
-                }
-                Decided::Known(gi, AdmissionDecision::Throttled) => {
-                    quota_throttled += 1;
-                    if !per_tenant.iter().any(|(t, _)| *t == p.tenant) {
-                        per_tenant.push((p.tenant, 0));
-                    }
-                    ServiceStatus::Throttled {
-                        anytime: anytime(gi),
-                    }
-                }
-            };
-            outcomes.push(ServiceOutcome {
-                id: p.id,
-                tenant: p.tenant,
-                graph: p.graph,
-                shard: p.shard,
-                status,
-            });
-        }
-        let tenant_fairness = if per_tenant.is_empty() {
-            1.0
-        } else {
-            let max = per_tenant.iter().map(|(_, c)| *c).max().unwrap_or(0);
-            let min = per_tenant.iter().map(|(_, c)| *c).min().unwrap_or(0);
-            max as f64 / min.max(1) as f64
-        };
-        ServiceReport {
-            outcomes,
-            summary,
-            serving: ServingCounters {
-                shards: self.router.shards() as u64,
-                submitted: n as u64,
-                admitted,
-                shed,
-                quota_exhausted,
-                quota_throttled,
-                tenant_fairness,
+        let order = workload.scheduled_arrival_order();
+        let (pending, work) = self.admit(
+            workload,
+            progress,
+            &order,
+            stream::GRAPH_FAULT,
+            |state, req, gi| {
+                let q = &req.query;
+                state.decide_scheduled(
+                    req.id(),
+                    req.tenant,
+                    gi,
+                    q.hard_budget,
+                    q.schedule.arrival_tick,
+                )
             },
-            scheduling: Some(merged.finish()),
-        }
+        );
+        let loops = self.fan_out(
+            work,
+            progress,
+            workers.max(1),
+            |gi, wl, progress| match &self.graphs[gi].2 {
+                AnyEngine::Ram(e) => run_graph_loop(e.backend(), None, wl, replicates, progress),
+                AnyEngine::Paged(e) => run_graph_loop(e.backend(), None, wl, replicates, progress),
+                AnyEngine::Churn(e) => {
+                    run_graph_loop(e.backend(), Some(e.backend()), wl, replicates, progress)
+                }
+            },
+        );
+        let mut merged = LoopCounters::default();
+        let statuses = loops
+            .into_iter()
+            .map(|l| {
+                l.map(|(statuses, counters)| {
+                    merged.absorb(&counters);
+                    statuses
+                })
+            })
+            .collect();
+        let mut report = self.assemble(pending, statuses);
+        report.scheduling = Some(merged.finish());
+        report
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::GraphKey;
     use labelcount_core::RunConfig;
     use labelcount_graph::TargetLabel;
 
@@ -947,6 +632,30 @@ mod tests {
             seen.iter().all(|&s| s),
             "a 40/20/40 mix over 20 requests should hit every class"
         );
+    }
+
+    #[test]
+    fn huge_interarrival_clamps_arrivals_at_the_end_of_time() {
+        // Regression: `2 · mean − 1` overflowed for means above
+        // `u64::MAX / 2`, and the arrival clock could overflow too.
+        let wl = stamped(SchedulePolicy::default().with_interarrival(u64::MAX / 2 + 1));
+        let arrivals: Vec<u64> = wl
+            .requests
+            .iter()
+            .map(|r| r.query.schedule.arrival_tick)
+            .collect();
+        assert!(arrivals[0] >= 1);
+        assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "{arrivals:?}");
+        assert_eq!(*arrivals.last().unwrap(), u64::MAX, "{arrivals:?}");
+        // Below the overflow threshold nothing changes: a mean of 10
+        // still draws every gap from [1, 19].
+        let small = stamped(SchedulePolicy::default().with_interarrival(10));
+        let mut last = 0;
+        for r in &small.requests {
+            let gap = r.query.schedule.arrival_tick - last;
+            assert!((1..=19).contains(&gap), "gap {gap}");
+            last = r.query.schedule.arrival_tick;
+        }
     }
 
     #[test]

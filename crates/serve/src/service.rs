@@ -7,24 +7,28 @@
 //! per graph inside its owning shard. Shards share nothing at run time:
 //! a shard thread only ever touches the engines of its own graphs.
 //!
-//! [`ServiceWorkload`] is the multi-tenant request stream. Running it has
-//! three phases:
+//! [`ServiceWorkload`] is the multi-tenant request stream. Both ways of
+//! running it — [`ShardedService::run`] and
+//! [`ShardedService::run_scheduled`] — are one pipeline in three phases:
 //!
-//! 1. **admission** — serial, in the seeded arrival order, against one
-//!    modelled queue per registered graph plus per-tenant quotas
-//!    ([`crate::admission`]);
-//! 2. **execution** — admitted requests become per-graph
-//!    [`Workload`]s; one thread per shard runs its graphs' workloads over
-//!    the shard's engines (per-graph worker pools inside);
+//! 1. **admission** — one pass, serial in the run's arrival order,
+//!    against one modelled queue per registered graph plus per-tenant
+//!    quotas and rate limits ([`crate::admission`]); each graph's
+//!    admitted queries become one [`Workload`];
+//! 2. **execution** — one thread per shard (or up to `workers` per shard
+//!    for scheduled runs) runs the run's executor over its graphs'
+//!    workloads;
 //! 3. **report** — outcomes re-assembled in request-id order, with
-//!    **anytime answers** for shed / quota-rejected requests taken from
-//!    their graph's deterministic summary.
-
-use std::sync::Mutex;
+//!    **anytime answers** for shed / quota-rejected / throttled requests
+//!    taken from their graph's deterministic summary.
+//!
+//! The runs differ only in the arrival order and decision function of
+//! phase 1 and in the executor of phase 2; [`ShardedService::run`] lists
+//! the differences.
 
 use labelcount_core::{
-    Engine, QueryOutcome, QuerySpec, RunConfig, Schedule, Workload, WorkloadProgress,
-    WorkloadReport,
+    run_workload_observed_on, Engine, QueryOutcome, QuerySpec, RunConfig, Schedule, Workload,
+    WorkloadProgress,
 };
 use labelcount_graph::{LabeledGraph, TargetLabel};
 use labelcount_osn::{
@@ -474,21 +478,6 @@ pub(crate) enum AnyEngine<'g> {
     Churn(Box<Engine<'g, ChurnOsn>>),
 }
 
-impl AnyEngine<'_> {
-    fn run_workload_observed(
-        &self,
-        workload: &Workload,
-        workers: usize,
-        progress: &WorkloadProgress,
-    ) -> WorkloadReport {
-        match self {
-            AnyEngine::Ram(e) => e.run_workload_observed(workload, workers, progress),
-            AnyEngine::Paged(e) => e.run_workload_observed(workload, workers, progress),
-            AnyEngine::Churn(e) => e.run_workload_observed(workload, workers, progress),
-        }
-    }
-}
-
 /// A long-lived multi-graph service: consistent-hash routing to
 /// shared-nothing per-shard engines, with deterministic admission.
 pub struct ShardedService<'g> {
@@ -646,9 +635,26 @@ impl<'g> ShardedService<'g> {
         self.graphs.iter().position(|(k, _, _)| *k == key)
     }
 
-    /// Runs a multi-tenant workload: admission in the seeded arrival
-    /// order, then execution with one thread per shard and up to
+    /// Runs a multi-tenant workload to completion: admission in the seeded
+    /// arrival order, then execution with one thread per shard and up to
     /// `workers` worker threads per graph workload.
+    ///
+    /// This is the unscheduled executor of the shared serving pipeline
+    /// (see the [module docs](self)). Against
+    /// [`ShardedService::run_scheduled`] it differs in exactly these
+    /// points, so the two runs do not return the same report for the same
+    /// workload:
+    ///
+    /// * **arrival order** — a seeded shuffle of the requests, not
+    ///   `(arrival_tick, id)`; the stamped [`Schedule`]s are ignored;
+    /// * **queue model** — [`AdmissionState::decide`]'s arrival-count
+    ///   drain, not the virtual-time drain of
+    ///   [`AdmissionState::decide_scheduled`];
+    /// * **executor** — each graph's admitted queries run on a worker pool,
+    ///   each query once and to completion, with no deadline enforced;
+    /// * **seed streams** — per-graph seeds derive from a different stream
+    ///   id, and each query draws one fault seed instead of one per
+    ///   replicate.
     ///
     /// The returned [`ServiceReport`] is bit-identical at any shard count
     /// and any worker count.
@@ -666,201 +672,246 @@ impl<'g> ShardedService<'g> {
         workers: usize,
         progress: &ServiceProgress,
     ) -> ServiceReport {
+        let order = workload.arrival_order();
+        let (pending, work) = self.admit(
+            workload,
+            progress,
+            &order,
+            stream::GRAPH_WL,
+            |state, req, gi| state.decide(req.id(), req.tenant, gi, req.query.hard_budget),
+        );
+        let statuses = self.fan_out(work, progress, 1, |gi, wl, progress| {
+            let report = match &self.graphs[gi].2 {
+                AnyEngine::Ram(e) => run_workload_observed_on(e.backend(), wl, workers, progress),
+                AnyEngine::Paged(e) => run_workload_observed_on(e.backend(), wl, workers, progress),
+                AnyEngine::Churn(e) => run_workload_observed_on(e.backend(), wl, workers, progress),
+            };
+            report
+                .outcomes
+                .into_iter()
+                .map(|o| (o.id, ServiceStatus::Completed(o)))
+                .collect()
+        });
+        self.assemble(pending, statuses)
+    }
+
+    /// The admission pass both runs share. Requests are decided serially
+    /// in `order` by `decide` (handed the request and its graph's index)
+    /// against one modelled queue per registered graph plus the tenant
+    /// quotas and rate limits. Placement-independent: the shard only
+    /// decides where admitted work runs.
+    ///
+    /// Returns every request's record in request-id order, and per
+    /// registered graph a [`Workload`] of its admitted queries (id order,
+    /// hard budget replaced by the admission's effective budget) whose
+    /// seed derives from `graph_stream` and the graph key alone.
+    pub(crate) fn admit(
+        &self,
+        workload: ServiceWorkload,
+        progress: &ServiceProgress,
+        order: &[usize],
+        graph_stream: u64,
+        mut decide: impl FnMut(&mut AdmissionState, &ServiceRequest, usize) -> AdmissionDecision,
+    ) -> (Vec<Pending>, Vec<Workload>) {
         assert_eq!(
             progress.slots.len(),
             self.graphs.len(),
             "progress view was not built for this service"
         );
-        let n = workload.requests.len();
         for w in workload.requests.windows(2) {
             assert!(
                 w[0].id() < w[1].id(),
                 "request ids must be strictly increasing"
             );
         }
-
-        // Phase 1 — admission, serially in the seeded arrival order,
-        // against one modelled queue per registered graph. Placement-
-        // independent: the shard only decides where admitted work runs.
-        let order = workload.arrival_order();
-        let mut admission = AdmissionState::with_rate_limits(
-            self.graphs.len(),
-            workload.admission,
-            workload.quotas.clone(),
-            workload.rate_limits.clone(),
-            workload.seed,
-        );
-        enum Decided {
-            Known(usize, AdmissionDecision),
-            Unknown,
-        }
-        let mut decisions: Vec<Option<Decided>> = (0..n).map(|_| None).collect();
-        for &ri in &order {
-            let req = &workload.requests[ri];
-            decisions[ri] = Some(match self.graph_index(req.graph) {
-                Some(gi) => Decided::Known(
-                    gi,
-                    admission.decide(req.id(), req.tenant, gi, req.query.hard_budget),
-                ),
-                None => Decided::Unknown,
-            });
-        }
-
-        // Phase 2 — build per-graph workloads from the admitted requests
-        // (in id order) and execute them, one thread per shard. The
-        // per-graph workload seed derives from the graph key alone, so
-        // per-query fault seeds and arrival shuffles are placement-
-        // independent too.
         let ServiceWorkload {
             requests,
             seed,
             run_config,
             faults,
             retry,
+            admission,
+            quotas,
+            rate_limits,
             resilience,
             ..
         } = workload;
-        let mut graph_queries: Vec<Vec<QuerySpec>> =
-            (0..self.graphs.len()).map(|_| Vec::new()).collect();
-        struct Pending {
-            id: u64,
-            tenant: TenantId,
-            graph: GraphKey,
-            shard: usize,
-            decided: Decided,
+        let mut state = AdmissionState::with_rate_limits(
+            self.graphs.len(),
+            admission,
+            quotas,
+            rate_limits,
+            seed,
+        );
+        let mut decisions = vec![None; requests.len()];
+        for &ri in order {
+            let req = &requests[ri];
+            decisions[ri] = self
+                .graph_index(req.graph)
+                .map(|gi| (gi, decide(&mut state, req, gi)));
         }
-        let mut pending: Vec<Pending> = Vec::with_capacity(n);
-        for (ri, req) in requests.into_iter().enumerate() {
-            let decided = decisions[ri].take().expect("every request was decided");
-            let shard = self.shard_of(req.graph);
-            let id = req.id();
-            let ServiceRequest {
-                tenant,
-                graph,
-                query,
-            } = req;
-            if let Decided::Known(gi, AdmissionDecision::Admitted { effective_budget }) = decided {
-                graph_queries[gi].push(QuerySpec {
-                    hard_budget: effective_budget,
-                    ..query
-                });
-            }
-            pending.push(Pending {
-                id,
-                tenant,
-                graph,
-                shard,
-                decided,
-            });
-        }
-        let graph_workloads: Vec<Workload> = graph_queries
-            .into_iter()
-            .enumerate()
-            .map(|(gi, queries)| Workload {
-                queries,
-                seed: replication_seed(
-                    replication_seed(seed, stream::GRAPH_WL),
-                    self.graphs[gi].0 .0,
-                ),
+
+        let mut work: Vec<Workload> = self
+            .graphs
+            .iter()
+            .map(|(key, _, _)| Workload {
+                queries: Vec::new(),
+                seed: replication_seed(replication_seed(seed, graph_stream), key.0),
                 run_config,
                 faults,
                 retry,
                 resilience,
             })
             .collect();
+        let pending = requests
+            .into_iter()
+            .zip(decisions)
+            .map(|(req, decided)| {
+                let ServiceRequest {
+                    tenant,
+                    graph,
+                    query,
+                } = req;
+                let id = query.id;
+                if let Some((gi, AdmissionDecision::Admitted { effective_budget })) = decided {
+                    work[gi].queries.push(QuerySpec {
+                        hard_budget: effective_budget,
+                        ..query
+                    });
+                }
+                Pending {
+                    id,
+                    tenant,
+                    graph,
+                    shard: self.shard_of(graph),
+                    decided,
+                }
+            })
+            .collect();
+        (pending, work)
+    }
 
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.router.shards()];
-        for (gi, wl) in graph_workloads.iter().enumerate() {
+    /// Runs `execute` on every graph with admitted work: the shard that
+    /// owns a graph hosts its execution, split round-robin over up to
+    /// `threads_per_shard` threads. Any split yields the same results —
+    /// graphs share nothing at run time. Each workload is dropped as soon
+    /// as its graph has run. Returns the results by graph index (`None`
+    /// for a graph with nothing admitted).
+    pub(crate) fn fan_out<R: Send>(
+        &self,
+        work: Vec<Workload>,
+        progress: &ServiceProgress,
+        threads_per_shard: usize,
+        execute: impl Fn(usize, &Workload, &WorkloadProgress) -> R + Sync,
+    ) -> Vec<Option<R>> {
+        let mut results: Vec<Option<R>> = (0..work.len()).map(|_| None).collect();
+        let mut by_shard: Vec<Vec<(usize, Workload)>> =
+            (0..self.router.shards()).map(|_| Vec::new()).collect();
+        for (gi, wl) in work.into_iter().enumerate() {
             if !wl.queries.is_empty() {
-                by_shard[self.graphs[gi].1].push(gi);
+                by_shard[self.graphs[gi].1].push((gi, wl));
             }
         }
-        let slots: Vec<Mutex<Option<WorkloadReport>>> =
-            (0..self.graphs.len()).map(|_| Mutex::new(None)).collect();
+        let execute = &execute;
         std::thread::scope(|scope| {
-            for gis in &by_shard {
-                if gis.is_empty() {
-                    continue;
+            let mut handles = Vec::new();
+            for graphs in by_shard {
+                let threads = threads_per_shard.min(graphs.len());
+                let mut buckets: Vec<Vec<(usize, Workload)>> =
+                    (0..threads).map(|_| Vec::new()).collect();
+                for (i, graph) in graphs.into_iter().enumerate() {
+                    buckets[i % threads].push(graph);
                 }
-                let graph_workloads = &graph_workloads;
-                let slots = &slots;
-                scope.spawn(move || {
-                    // This thread IS the shard: it serves only its own
-                    // graphs' engines and writes only its own slots.
-                    for &gi in gis {
-                        let report = self.graphs[gi].2.run_workload_observed(
-                            &graph_workloads[gi],
-                            workers,
-                            &progress.slots[gi].1,
-                        );
-                        *slots[gi].lock().unwrap() = Some(report);
-                    }
-                });
+                for mine in buckets {
+                    handles.push(scope.spawn(move || {
+                        mine.into_iter()
+                            .map(|(gi, wl)| (gi, execute(gi, &wl, &progress.slots[gi].1)))
+                            .collect::<Vec<_>>()
+                    }));
+                }
+            }
+            for h in handles {
+                let done = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                for (gi, r) in done {
+                    results[gi] = Some(r);
+                }
             }
         });
-        let reports: Vec<Option<WorkloadReport>> =
-            slots.into_iter().map(|s| s.into_inner().unwrap()).collect();
+        results
+    }
 
-        // Phase 3 — assemble the deterministic report in request-id order.
-        let anytime = |gi: usize| -> Option<f64> {
-            let r = reports[gi].as_ref()?;
-            (r.summary.count() > 0).then(|| r.summary.mean())
-        };
+    /// The report assembly both runs share. `statuses[gi]` holds graph
+    /// `gi`'s admitted requests' statuses in id order, as its executor
+    /// produced them ([`ServiceStatus::Completed`] or
+    /// [`ServiceStatus::DeadlineAnytime`]; `None` when nothing was
+    /// admitted). Rejected requests get their
+    /// graph's **anytime answer**: the mean over its completed finite
+    /// estimates. Outcomes, summary, and fairness tally accumulate in
+    /// request-id order; `scheduling` is left `None`.
+    pub(crate) fn assemble(
+        &self,
+        pending: Vec<Pending>,
+        statuses: Vec<Option<Vec<(u64, ServiceStatus)>>>,
+    ) -> ServiceReport {
+        let anytime: Vec<Option<f64>> = statuses
+            .iter()
+            .map(|graph| {
+                let mut s = RunningStats::new();
+                for (_, status) in graph.iter().flatten() {
+                    push_completed(&mut s, status);
+                }
+                (s.count() > 0).then(|| s.mean())
+            })
+            .collect();
+        let mut statuses: Vec<_> = statuses
+            .into_iter()
+            .map(|graph| graph.unwrap_or_default().into_iter())
+            .collect();
+        let n = pending.len();
         let mut outcomes = Vec::with_capacity(n);
-        let mut admitted = 0u64;
-        let mut shed = 0u64;
-        let mut quota_exhausted = 0u64;
-        let mut quota_throttled = 0u64;
+        let (mut admitted, mut shed, mut quota_exhausted, mut quota_throttled) = (0, 0, 0, 0);
         let mut per_tenant: Vec<(TenantId, u64)> = Vec::new();
         let mut summary = RunningStats::new();
         for p in pending {
             let status = match p.decided {
-                Decided::Unknown => ServiceStatus::UnknownGraph,
-                Decided::Known(gi, AdmissionDecision::Admitted { .. }) => {
-                    admitted += 1;
-                    match per_tenant.iter_mut().find(|(t, _)| *t == p.tenant) {
-                        Some((_, c)) => *c += 1,
-                        None => per_tenant.push((p.tenant, 1)),
-                    }
-                    let report = reports[gi].as_ref().expect("admitted graph ran");
-                    let qi = report
-                        .outcomes
-                        .binary_search_by_key(&p.id, |o| o.id)
-                        .expect("admitted query has an outcome");
-                    let outcome = report.outcomes[qi].clone();
-                    if let Ok(e) = outcome.estimate {
-                        if e.is_finite() {
-                            summary.push(e);
+                None => ServiceStatus::UnknownGraph,
+                Some((gi, decision)) => {
+                    let tally = match per_tenant.iter().position(|(t, _)| *t == p.tenant) {
+                        Some(i) => i,
+                        None => {
+                            per_tenant.push((p.tenant, 0));
+                            per_tenant.len() - 1
                         }
-                    }
-                    ServiceStatus::Completed(outcome)
-                }
-                Decided::Known(gi, AdmissionDecision::Shed { backlog }) => {
-                    shed += 1;
-                    if !per_tenant.iter().any(|(t, _)| *t == p.tenant) {
-                        per_tenant.push((p.tenant, 0));
-                    }
-                    ServiceStatus::Shed {
-                        backlog,
-                        anytime: anytime(gi),
-                    }
-                }
-                Decided::Known(gi, AdmissionDecision::QuotaExhausted) => {
-                    quota_exhausted += 1;
-                    if !per_tenant.iter().any(|(t, _)| *t == p.tenant) {
-                        per_tenant.push((p.tenant, 0));
-                    }
-                    ServiceStatus::QuotaExhausted {
-                        anytime: anytime(gi),
-                    }
-                }
-                Decided::Known(gi, AdmissionDecision::Throttled) => {
-                    quota_throttled += 1;
-                    if !per_tenant.iter().any(|(t, _)| *t == p.tenant) {
-                        per_tenant.push((p.tenant, 0));
-                    }
-                    ServiceStatus::Throttled {
-                        anytime: anytime(gi),
+                    };
+                    match decision {
+                        AdmissionDecision::Admitted { .. } => {
+                            admitted += 1;
+                            per_tenant[tally].1 += 1;
+                            let (id, status) =
+                                statuses[gi].next().expect("admitted request has a status");
+                            assert_eq!(id, p.id, "executor statuses out of id order");
+                            push_completed(&mut summary, &status);
+                            status
+                        }
+                        AdmissionDecision::Shed { backlog } => {
+                            shed += 1;
+                            ServiceStatus::Shed {
+                                backlog,
+                                anytime: anytime[gi],
+                            }
+                        }
+                        AdmissionDecision::QuotaExhausted => {
+                            quota_exhausted += 1;
+                            ServiceStatus::QuotaExhausted {
+                                anytime: anytime[gi],
+                            }
+                        }
+                        AdmissionDecision::Throttled => {
+                            quota_throttled += 1;
+                            ServiceStatus::Throttled {
+                                anytime: anytime[gi],
+                            }
+                        }
                     }
                 }
             };
@@ -872,12 +923,11 @@ impl<'g> ShardedService<'g> {
                 status,
             });
         }
-        let tenant_fairness = if per_tenant.is_empty() {
-            1.0
-        } else {
-            let max = per_tenant.iter().map(|(_, c)| *c).max().unwrap_or(0);
-            let min = per_tenant.iter().map(|(_, c)| *c).min().unwrap_or(0);
-            max as f64 / min.max(1) as f64
+        let max = per_tenant.iter().map(|(_, c)| *c).max();
+        let min = per_tenant.iter().map(|(_, c)| *c).min();
+        let tenant_fairness = match (max, min) {
+            (Some(max), Some(min)) => max as f64 / min.max(1) as f64,
+            _ => 1.0,
         };
         ServiceReport {
             outcomes,
@@ -892,6 +942,30 @@ impl<'g> ShardedService<'g> {
                 tenant_fairness,
             },
             scheduling: None,
+        }
+    }
+}
+
+/// One request after the admission pass.
+pub(crate) struct Pending {
+    id: u64,
+    tenant: TenantId,
+    graph: GraphKey,
+    shard: usize,
+    /// `(graph index, decision)`; `None` for a graph the service does not
+    /// serve.
+    decided: Option<(usize, AdmissionDecision)>,
+}
+
+/// Adds a completed status's finite estimate to `stats` (rejections,
+/// cancellations, failed and non-finite estimates add nothing).
+fn push_completed(stats: &mut RunningStats, status: &ServiceStatus) {
+    if let ServiceStatus::Completed(QueryOutcome {
+        estimate: Ok(e), ..
+    }) = status
+    {
+        if e.is_finite() {
+            stats.push(*e);
         }
     }
 }

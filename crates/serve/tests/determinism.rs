@@ -844,6 +844,41 @@ fn burst_resilience_report_is_bit_identical_and_observes_bursts() {
     }
 }
 
+#[test]
+fn saturated_deadline_completes_exactly_like_no_deadline() {
+    // Regression: an absolute deadline that saturates at `u64::MAX`
+    // overflowed the slice's tick ceiling (`deadline − clock + 1`) and the
+    // slack sum. A deadline that far out can never fire, so every request
+    // must complete with the outcome of the deadline-free run.
+    let g = fixture(26);
+    let gks = graph_keys(1);
+    let mut svc = ShardedService::new(1, 3);
+    svc.register(gks[0], &g);
+    for free_policy in [
+        SchedulePolicy::default(),
+        SchedulePolicy::default().with_interarrival(5),
+    ] {
+        let free = svc.run_scheduled(scheduled(37, 6, &gks, free_policy.clone()), 1);
+        let far = svc.run_scheduled(
+            scheduled(37, 6, &gks, free_policy.with_deadline(u64::MAX)),
+            1,
+        );
+        assert_eq!(far.serving.admitted, 6);
+        for (x, y) in free.outcomes.iter().zip(&far.outcomes) {
+            match (&x.status, &y.status) {
+                (ServiceStatus::Completed(p), ServiceStatus::Completed(q)) => {
+                    assert_eq!(format!("{p:?}"), format!("{q:?}"), "request {}", x.id);
+                }
+                (p, q) => panic!("request {}: {p:?} vs {q:?}", x.id),
+            }
+        }
+        let sched = far.scheduling.unwrap();
+        assert_eq!(sched.cancellations, 0);
+        assert_eq!(sched.deadline_hits, 6);
+        assert!(sched.mean_slack_ticks > 1e18, "{}", sched.mean_slack_ticks);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

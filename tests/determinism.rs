@@ -243,7 +243,7 @@ fn engine_replication_is_bit_identical_with_l1_on_and_off() {
 /// replicated estimation, now with faults in the loop.
 #[test]
 fn workload_over_adversarial_osn_is_bit_identical_across_worker_counts() {
-    use labelcount::core::Workload;
+    use labelcount::core::{run_workload_on, Workload};
     use labelcount::osn::{FaultConfig, RetryPolicy};
 
     let d = build(DatasetKind::FacebookLike, 0.05, 41);
@@ -258,13 +258,13 @@ fn workload_over_adversarial_osn_is_bit_identical_across_worker_counts() {
         .build();
     let engine = Engine::new(&d.graph);
 
-    let reference = engine.run_workload(&workload, 1);
+    let reference = run_workload_on(engine.backend(), &workload, 1);
     assert!(
         reference.total_retry_charges() > 0,
         "a 0.3 fault rate must charge retries, or this test is vacuous"
     );
     for workers in [2usize, 8] {
-        let run = engine.run_workload(&workload, workers);
+        let run = run_workload_on(engine.backend(), &workload, workers);
         assert_eq!(run.outcomes.len(), reference.outcomes.len());
         for (a, b) in reference.outcomes.iter().zip(&run.outcomes) {
             assert_eq!(a.id, b.id);
