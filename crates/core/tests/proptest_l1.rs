@@ -16,10 +16,6 @@
 //! * a pathologically tiny (1-slot, collision-thrashing) L1 still
 //!   satisfies all of the above — collisions cost time, never
 //!   correctness.
-//!
-//! Together with `proptest_walk`'s dense-vs-simulated replay suite (the
-//! alias/`neighbor_at` plumbing consuming identical streams) this pins
-//! the whole hot-path rework to the pre-rework observable behavior.
 
 use labelcount_core::{algorithms, RunConfig};
 use labelcount_graph::gen::barabasi_albert;

@@ -10,9 +10,6 @@
 //!   graph whose nodes carry sets of labels (gender, location, degree bucket,
 //!   …), built through [`GraphBuilder`] which removes self-loops and
 //!   multi-edges exactly as the paper's preprocessing does.
-//! * [`alias`] — O(1) weighted sampling via alias tables (Vose), used for
-//!   degree-proportional start nodes (walks started *at* the simple walk's
-//!   stationary distribution) and other fixed-weight hot-path draws.
 //! * [`components`] — connected components and largest-connected-component
 //!   extraction (the paper evaluates on the largest CC of each network).
 //! * [`ground_truth`] — exact target-edge counts `F` and per-node incident
@@ -42,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod alias;
 pub mod builder;
 pub mod churn;
 pub mod components;
@@ -57,7 +53,6 @@ pub mod stats;
 
 mod ids;
 
-pub use alias::AliasTable;
 pub use builder::GraphBuilder;
 pub use churn::{ChurnConfig, ChurnEvent, ChurnSchedule, ChurnStats, Epoch, MutableGraph};
 pub use csr::LabeledGraph;

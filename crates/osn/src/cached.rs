@@ -123,6 +123,14 @@ impl OsnBackend for GraphOsn<'_> {
 /// create.
 pub const DEFAULT_L1_SLOTS: usize = 512;
 
+/// Largest [`CacheConfig::shards`]: the builder clamps larger requests to
+/// it, so rounding up to a power of two cannot overflow.
+const MAX_SHARDS: usize = 1 << 12;
+
+/// Largest [`CacheConfig::l1_slots`]: the builder clamps larger requests
+/// to it (64 Ki slots per endpoint kind is a few MiB per session).
+const MAX_L1_SLOTS: usize = 1 << 16;
+
 /// Sizing knobs for [`CachedOsn`].
 ///
 /// Construct through [`CacheConfig::builder`] (the same `#[must_use]`
@@ -169,16 +177,16 @@ impl CacheConfig {
     }
 
     /// Number of lock shards per endpoint kind (rounded up to a power of
-    /// two, minimum 1). More shards = less contention under parallel
-    /// replication.
+    /// two, minimum 1, at most 4096). More shards = less contention under
+    /// parallel replication.
     pub fn shards(&self) -> usize {
         self.shards
     }
 
     /// Direct-mapped **L1 slots per endpoint kind** in every session
-    /// opened on this cache (rounded up to a power of two). `0` disables
-    /// the session L1: every logical call then takes the shared L2 path —
-    /// the configuration the determinism suites compare against. The L1
+    /// opened on this cache (rounded up to a power of two, at most
+    /// 65536). `0` disables the session L1: every logical call then takes
+    /// the shared L2 path — the configuration the determinism suites compare against. The L1
     /// only changes *where* bytes come from and what a hit costs; data,
     /// estimates, RNG streams, and (for unbounded caches) miss counts are
     /// bit-identical either way.
@@ -227,17 +235,17 @@ impl CacheConfigBuilder {
         self
     }
 
-    /// Sets the lock-shard count per endpoint kind.
+    /// Sets the lock-shard count per endpoint kind, clamped to 4096.
     #[must_use = "returns the modified builder"]
     pub fn shards(mut self, shards: usize) -> CacheConfigBuilder {
-        self.cfg.shards = shards;
+        self.cfg.shards = shards.min(MAX_SHARDS);
         self
     }
 
-    /// Sets the session L1 size (`0` disables the L1).
+    /// Sets the session L1 size (`0` disables the L1), clamped to 65536.
     #[must_use = "returns the modified builder"]
     pub fn l1_slots(mut self, slots: usize) -> CacheConfigBuilder {
-        self.cfg.l1_slots = slots;
+        self.cfg.l1_slots = slots.min(MAX_L1_SLOTS);
         self
     }
 
@@ -565,21 +573,53 @@ impl<T> LruShard<T> {
 /// ```
 pub struct CachedOsn<B> {
     backend: B,
-    neighbor_shards: Box<[RwLock<LruShard<NodeId>>]>,
-    label_shards: Box<[RwLock<LruShard<LabelId>>]>,
+    neighbors: Endpoint<NodeId>,
+    labels: Endpoint<LabelId>,
     shard_mask: usize,
     unbounded: bool,
     l1_slots: usize,
     serve_stale: bool,
-    logical_neighbor: AtomicU64,
-    logical_label: AtomicU64,
-    neighbor_misses: AtomicU64,
-    label_misses: AtomicU64,
-    l1_neighbor_hits: AtomicU64,
-    l1_label_hits: AtomicU64,
     l1_stale_evictions: AtomicU64,
     l2_stale_evictions: AtomicU64,
     stale_served: AtomicU64,
+}
+
+/// One endpoint kind's share of the L2: its lock shards and its counters.
+struct Endpoint<T> {
+    shards: Box<[RwLock<LruShard<T>>]>,
+    counters: EndpointCounters,
+}
+
+/// The shared per-endpoint counters behind [`CallStats`].
+#[derive(Default)]
+struct EndpointCounters {
+    logical: AtomicU64,
+    misses: AtomicU64,
+    l1_hits: AtomicU64,
+}
+
+impl<T> Endpoint<T> {
+    fn new(shards: usize, per_shard: usize) -> Self {
+        Endpoint {
+            shards: (0..shards)
+                .map(|_| RwLock::new(LruShard::new(per_shard)))
+                .collect(),
+            counters: EndpointCounters::default(),
+        }
+    }
+
+    fn clear(&self) {
+        for s in self.shards.iter() {
+            s.write().unwrap_or_else(PoisonError::into_inner).clear();
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
+    }
 }
 
 impl<B: OsnBackend> CachedOsn<B> {
@@ -600,12 +640,10 @@ impl<B: OsnBackend> CachedOsn<B> {
             Some(total) => total.max(1).div_ceil(shards),
             None => usize::MAX,
         };
-        let make_neighbor = || RwLock::new(LruShard::new(per_shard));
-        let make_label = || RwLock::new(LruShard::new(per_shard));
         CachedOsn {
             backend,
-            neighbor_shards: (0..shards).map(|_| make_neighbor()).collect(),
-            label_shards: (0..shards).map(|_| make_label()).collect(),
+            neighbors: Endpoint::new(shards, per_shard),
+            labels: Endpoint::new(shards, per_shard),
             shard_mask: shards - 1,
             unbounded: cfg.capacity().is_none(),
             l1_slots: if cfg.l1_slots() == 0 {
@@ -614,12 +652,6 @@ impl<B: OsnBackend> CachedOsn<B> {
                 cfg.l1_slots().next_power_of_two()
             },
             serve_stale: cfg.serve_stale(),
-            logical_neighbor: AtomicU64::new(0),
-            logical_label: AtomicU64::new(0),
-            neighbor_misses: AtomicU64::new(0),
-            label_misses: AtomicU64::new(0),
-            l1_neighbor_hits: AtomicU64::new(0),
-            l1_label_hits: AtomicU64::new(0),
             l1_stale_evictions: AtomicU64::new(0),
             l2_stale_evictions: AtomicU64::new(0),
             stale_served: AtomicU64::new(0),
@@ -635,18 +667,10 @@ impl<B: OsnBackend> CachedOsn<B> {
     /// and private L1 at the configured [`CacheConfig::l1_slots`]; shared
     /// L2 underneath).
     pub fn session(&self) -> OsnSession<'_, B> {
-        self.session_with_l1(self.l1_slots)
-    }
-
-    /// Opens a session with an explicit L1 size (`0` disables the L1 —
-    /// every logical call then takes the shared L2 path). Data and
-    /// estimates are identical at any size; only the hit cost changes.
-    pub fn session_with_l1(&self, l1_slots: usize) -> OsnSession<'_, B> {
         OsnSession {
             cache: self,
-            l1: (l1_slots > 0).then(|| SessionL1::new(l1_slots.next_power_of_two())),
-            neighbor_calls: Cell::new(0),
-            label_calls: Cell::new(0),
+            neighbors: SessionEndpoint::new(self.l1_slots),
+            labels: SessionEndpoint::new(self.l1_slots),
             retry_charges: Cell::new(0),
             latency_ticks: Cell::new(0),
             l2_stale_served: Cell::new(0),
@@ -658,13 +682,14 @@ impl<B: OsnBackend> CachedOsn<B> {
     /// Snapshot of the shared call accounting, aggregated over all
     /// sessions.
     pub fn stats(&self) -> CallStats {
+        let (n, l) = (&self.neighbors.counters, &self.labels.counters);
         CallStats {
-            logical_neighbor_calls: self.logical_neighbor.load(Ordering::Relaxed),
-            logical_label_calls: self.logical_label.load(Ordering::Relaxed),
-            neighbor_misses: self.neighbor_misses.load(Ordering::Relaxed),
-            label_misses: self.label_misses.load(Ordering::Relaxed),
-            l1_neighbor_hits: self.l1_neighbor_hits.load(Ordering::Relaxed),
-            l1_label_hits: self.l1_label_hits.load(Ordering::Relaxed),
+            logical_neighbor_calls: n.logical.load(Ordering::Relaxed),
+            logical_label_calls: l.logical.load(Ordering::Relaxed),
+            neighbor_misses: n.misses.load(Ordering::Relaxed),
+            label_misses: l.misses.load(Ordering::Relaxed),
+            l1_neighbor_hits: n.l1_hits.load(Ordering::Relaxed),
+            l1_label_hits: l.l1_hits.load(Ordering::Relaxed),
             l1_stale_evictions: self.l1_stale_evictions.load(Ordering::Relaxed),
             l2_stale_evictions: self.l2_stale_evictions.load(Ordering::Relaxed),
             stale_served: self.stale_served.load(Ordering::Relaxed),
@@ -674,12 +699,11 @@ impl<B: OsnBackend> CachedOsn<B> {
     /// Resets the call accounting. Cached entries are kept — use
     /// [`CachedOsn::clear`] to drop them too.
     pub fn reset_stats(&self) {
-        self.logical_neighbor.store(0, Ordering::Relaxed);
-        self.logical_label.store(0, Ordering::Relaxed);
-        self.neighbor_misses.store(0, Ordering::Relaxed);
-        self.label_misses.store(0, Ordering::Relaxed);
-        self.l1_neighbor_hits.store(0, Ordering::Relaxed);
-        self.l1_label_hits.store(0, Ordering::Relaxed);
+        for c in [&self.neighbors.counters, &self.labels.counters] {
+            c.logical.store(0, Ordering::Relaxed);
+            c.misses.store(0, Ordering::Relaxed);
+            c.l1_hits.store(0, Ordering::Relaxed);
+        }
         self.l1_stale_evictions.store(0, Ordering::Relaxed);
         self.l2_stale_evictions.store(0, Ordering::Relaxed);
         self.stale_served.store(0, Ordering::Relaxed);
@@ -692,27 +716,13 @@ impl<B: OsnBackend> CachedOsn<B> {
     /// a panicking estimator on another thread must not take maintenance
     /// down with it.
     pub fn clear(&self) {
-        for s in self.neighbor_shards.iter() {
-            s.write().unwrap_or_else(PoisonError::into_inner).clear();
-        }
-        for s in self.label_shards.iter() {
-            s.write().unwrap_or_else(PoisonError::into_inner).clear();
-        }
+        self.neighbors.clear();
+        self.labels.clear();
     }
 
     /// Cached L2 entries currently held (neighbor lists, label sets).
     pub fn cached_entries(&self) -> (usize, usize) {
-        let n = self
-            .neighbor_shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum();
-        let l = self
-            .label_shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum();
-        (n, l)
+        (self.neighbors.len(), self.labels.len())
     }
 
     /// Fibonacci-hash shard index, so clustered node ids spread evenly.
@@ -721,7 +731,8 @@ impl<B: OsnBackend> CachedOsn<B> {
         (u.0 as usize).wrapping_mul(0x9E37_79B9) >> 7 & self.shard_mask
     }
 
-    /// Cache-through neighbor fetch. Returns the data plus the *extra*
+    /// Cache-through fetch of `u` from one endpoint's shards; `fetch` is
+    /// that endpoint's backend call. Returns the data plus the *extra*
     /// billable cost beyond the logical call itself (`attempts − 1` and
     /// the latency ticks of the backend fetch on a miss, zero on a hit) —
     /// how an adversarial backend's retries, pagination, and simulated
@@ -744,6 +755,7 @@ impl<B: OsnBackend> CachedOsn<B> {
     /// so poisoning is recovered with [`PoisonError::into_inner`] rather
     /// than cascading the panic to every other query on the shard (the
     /// same discipline `WorkloadProgress` uses).
+    ///
     /// Entries are compared and re-stamped against `current`, the
     /// backend's epoch for `u` as observed by the calling session at the
     /// top of the logical call — a stamp mismatch is served as a miss and
@@ -757,14 +769,16 @@ impl<B: OsnBackend> CachedOsn<B> {
     /// session can count it and skip re-stamping its L1. The entry keeps
     /// its old stamp: the next probe after recovery still sees it stale
     /// and refetches.
-    fn neighbors_shared(
+    fn fetch_shared<'a, T: Clone + 'a>(
         &self,
+        endpoint: &Endpoint<T>,
         u: NodeId,
         current: Epoch,
         degraded: bool,
-    ) -> (Arc<[NodeId]>, FetchCost, bool) {
+        fetch: impl FnOnce(NodeId) -> (SliceRef<'a, T>, FetchCost),
+    ) -> (Arc<[T]>, FetchCost, bool) {
         let hit_cost = FetchCost::default();
-        let lock = &self.neighbor_shards[self.shard_of(u)];
+        let lock = &endpoint.shards[self.shard_of(u)];
         if self.unbounded {
             let shard = lock.read().unwrap_or_else(PoisonError::into_inner);
             if degraded {
@@ -786,55 +800,9 @@ impl<B: OsnBackend> CachedOsn<B> {
             }
             Lookup::Absent => {}
         }
-        self.neighbor_misses.fetch_add(1, Ordering::Relaxed);
-        let (fetched, cost) = self.backend.fetch_neighbors_cost(u);
-        let value: Arc<[NodeId]> = Arc::from(&*fetched);
-        shard.insert(u.0, Arc::clone(&value), current);
-        (
-            value,
-            FetchCost {
-                attempts: cost.extra_attempts(),
-                ticks: cost.ticks,
-            },
-            false,
-        )
-    }
-
-    /// Cache-through label fetch (same locking discipline, staleness,
-    /// degradation, and extra-charge contract as
-    /// [`CachedOsn::neighbors_shared`]).
-    fn labels_shared(
-        &self,
-        u: NodeId,
-        current: Epoch,
-        degraded: bool,
-    ) -> (Arc<[LabelId]>, FetchCost, bool) {
-        let hit_cost = FetchCost::default();
-        let lock = &self.label_shards[self.shard_of(u)];
-        if self.unbounded {
-            let shard = lock.read().unwrap_or_else(PoisonError::into_inner);
-            if degraded {
-                if let Some((hit, stale)) = shard.peek_any(u.0, current) {
-                    return (hit, hit_cost, stale);
-                }
-            } else if let Some(hit) = shard.peek(u.0, current) {
-                return (hit, hit_cost, false);
-            }
-        }
-        let mut shard = lock.write().unwrap_or_else(PoisonError::into_inner);
-        match shard.get(u.0, current) {
-            Lookup::Hit(hit) => return (hit, hit_cost, false),
-            Lookup::Stale(v) => {
-                if degraded {
-                    return (v, hit_cost, true);
-                }
-                self.l2_stale_evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            Lookup::Absent => {}
-        }
-        self.label_misses.fetch_add(1, Ordering::Relaxed);
-        let (fetched, cost) = self.backend.fetch_labels_cost(u);
-        let value: Arc<[LabelId]> = Arc::from(&*fetched);
+        endpoint.counters.misses.fetch_add(1, Ordering::Relaxed);
+        let (fetched, cost) = fetch(u);
+        let value: Arc<[T]> = Arc::from(&*fetched);
         shard.insert(u.0, Arc::clone(&value), current);
         (
             value,
@@ -954,17 +922,41 @@ impl<T: Clone> L1Cache<T> {
     }
 }
 
-/// The session-private L1: one direct-mapped cache per endpoint kind.
-struct SessionL1 {
-    neighbors: L1Cache<NodeId>,
-    labels: L1Cache<LabelId>,
+/// One endpoint kind's session-private side: its logical-call count and
+/// its L1 (`None` when the L1 is disabled).
+struct SessionEndpoint<T> {
+    calls: Cell<u64>,
+    l1: Option<L1Cache<T>>,
 }
 
-impl SessionL1 {
-    fn new(slots: usize) -> Self {
-        SessionL1 {
-            neighbors: L1Cache::new(slots),
-            labels: L1Cache::new(slots),
+/// What one endpoint's session side counted, for the sums and the flush.
+struct EndpointTally {
+    calls: u64,
+    l1_hits: u64,
+    l1_stale: u64,
+    l1_served_stale: u64,
+}
+
+impl<T: Clone> SessionEndpoint<T> {
+    /// `l1_slots` is `0` (no L1) or a power of two.
+    fn new(l1_slots: usize) -> Self {
+        SessionEndpoint {
+            calls: Cell::new(0),
+            l1: (l1_slots > 0).then(|| L1Cache::new(l1_slots)),
+        }
+    }
+}
+
+impl<T> SessionEndpoint<T> {
+    fn tally(&self) -> EndpointTally {
+        let (l1_hits, l1_stale, l1_served_stale) = self.l1.as_ref().map_or((0, 0, 0), |l1| {
+            (l1.hits.get(), l1.stale.get(), l1.served_stale.get())
+        });
+        EndpointTally {
+            calls: self.calls.get(),
+            l1_hits,
+            l1_stale,
+            l1_served_stale,
         }
     }
 }
@@ -981,9 +973,8 @@ impl SessionL1 {
 /// shared cache behind them is thread-safe.
 pub struct OsnSession<'c, B> {
     cache: &'c CachedOsn<B>,
-    l1: Option<SessionL1>,
-    neighbor_calls: Cell<u64>,
-    label_calls: Cell<u64>,
+    neighbors: SessionEndpoint<NodeId>,
+    labels: SessionEndpoint<LabelId>,
     retry_charges: Cell<u64>,
     latency_ticks: Cell<u64>,
     l2_stale_served: Cell<u64>,
@@ -1060,20 +1051,14 @@ impl<'c, B: OsnBackend> OsnSession<'c, B> {
     /// Logical calls this session served from its private L1 (no lock, no
     /// atomics). Always `0` when the L1 is disabled.
     pub fn l1_hits(&self) -> u64 {
-        self.l1
-            .as_ref()
-            .map(|l1| l1.neighbors.hits.get() + l1.labels.hits.get())
-            .unwrap_or(0)
+        self.tallies().iter().map(|t| t.l1_hits).sum()
     }
 
     /// L1 entries this session discovered stale (fill-time epoch ≠
     /// current) and evicted. Always `0` when the L1 is disabled or the
     /// backend is static.
     pub fn l1_stale_evictions(&self) -> u64 {
-        self.l1
-            .as_ref()
-            .map(|l1| l1.neighbors.stale.get() + l1.labels.stale.get())
-            .unwrap_or(0)
+        self.tallies().iter().map(|t| t.l1_stale).sum()
     }
 
     /// Stale-epoch entries this session served as answers (either cache
@@ -1083,16 +1068,16 @@ impl<'c, B: OsnBackend> OsnSession<'c, B> {
     pub fn stale_served(&self) -> u64 {
         self.l2_stale_served.get()
             + self
-                .l1
-                .as_ref()
-                .map(|l1| l1.neighbors.served_stale.get() + l1.labels.served_stale.get())
-                .unwrap_or(0)
+                .tallies()
+                .iter()
+                .map(|t| t.l1_served_stale)
+                .sum::<u64>()
     }
 
     /// Total charged API calls of both kinds: logical calls plus retry
     /// charges — the realized cost a billed crawler pays.
     pub fn charged_calls(&self) -> u64 {
-        self.neighbor_calls.get() + self.label_calls.get() + self.retry_charges.get()
+        self.api_calls() + self.retry_charges.get()
     }
 
     /// Logical neighbor-list calls plus retry charges — what the budget is
@@ -1100,45 +1085,38 @@ impl<'c, B: OsnBackend> OsnSession<'c, B> {
     /// weigh on the neighbor-call budget, the currency the paper's
     /// stopping rules are quoted in.)
     fn charged_neighbor_calls(&self) -> u64 {
-        self.neighbor_calls.get() + self.retry_charges.get()
-    }
-}
-
-impl<B: OsnBackend> OsnApi for OsnSession<'_, B> {
-    fn num_nodes(&self) -> usize {
-        self.cache.backend.num_nodes()
+        self.neighbors.calls.get() + self.retry_charges.get()
     }
 
-    fn num_edges(&self) -> usize {
-        self.cache.backend.num_edges()
-    }
-
-    fn neighbors(&self, u: NodeId) -> SliceRef<'_, NodeId> {
-        self.neighbor_calls.set(self.neighbor_calls.get() + 1);
-        // One epoch read per logical call, shared by both cache layers —
-        // a constant for every static backend, a lock-free region stamp
-        // for churning ones. Reading it before the lookup (not after)
-        // means an entry can only be judged against an epoch at least as
-        // old as itself — stale verdicts may be conservative, never
-        // falsely fresh.
-        let current = self.cache.backend.epoch_of(u);
-        // Graceful degradation: with serve-stale opted in and the backend
-        // reporting this endpoint degraded (e.g. an open circuit breaker),
-        // both cache layers may answer from stale-epoch entries instead of
-        // refetching into the outage.
-        let degraded = self.cache.serve_stale
-            && self
-                .cache
-                .backend
-                .endpoint_degraded(EndpointKind::Neighbors);
-        if let Some(l1) = &self.l1 {
+    /// One logical call on one endpoint: the session L1, then the shared
+    /// L2 (`shared`, filled from the backend by `fetch` on a miss).
+    /// `current` is the backend's epoch for `u` on this endpoint, read
+    /// *before* the lookup, so an entry can only be judged against an
+    /// epoch at least as old as itself — stale verdicts may be
+    /// conservative, never falsely fresh. With serve-stale opted in and
+    /// the backend reporting `kind` degraded (e.g. an open circuit
+    /// breaker), both layers may answer from stale-epoch entries instead
+    /// of refetching into the outage.
+    fn lookup<T: Clone>(
+        &self,
+        local: &SessionEndpoint<T>,
+        shared: &'c Endpoint<T>,
+        kind: EndpointKind,
+        current: Epoch,
+        u: NodeId,
+        fetch: impl FnOnce(NodeId) -> (SliceRef<'c, T>, FetchCost),
+    ) -> SliceRef<'_, T> {
+        local.calls.set(local.calls.get() + 1);
+        let degraded = self.cache.serve_stale && self.cache.backend.endpoint_degraded(kind);
+        if let Some(l1) = &local.l1 {
             // The de-atomized hot path: repeat lookups within this query
             // resolve here without a lock or an `Arc` refcount bump.
-            if let Some(hit) = l1.neighbors.get(u.0, current, degraded) {
+            if let Some(hit) = l1.get(u.0, current, degraded) {
                 return SliceRef::Local(hit);
             }
         }
-        let (value, extra, served_stale) = self.cache.neighbors_shared(u, current, degraded);
+        let (value, extra, served_stale) =
+            self.cache.fetch_shared(shared, u, current, degraded, fetch);
         if extra.attempts > 0 {
             self.retry_charges
                 .set(self.retry_charges.get() + extra.attempts);
@@ -1153,42 +1131,52 @@ impl<B: OsnBackend> OsnApi for OsnSession<'_, B> {
             self.l2_stale_served.set(self.l2_stale_served.get() + 1);
             return SliceRef::Shared(value);
         }
-        if let Some(l1) = &self.l1 {
-            l1.neighbors.insert(u.0, &value, current);
+        if let Some(l1) = &local.l1 {
+            l1.insert(u.0, &value, current);
         }
         SliceRef::Shared(value)
     }
+}
+
+impl<B: OsnBackend> OsnApi for OsnSession<'_, B> {
+    fn num_nodes(&self) -> usize {
+        self.cache.backend.num_nodes()
+    }
+
+    fn num_edges(&self) -> usize {
+        self.cache.backend.num_edges()
+    }
+
+    fn neighbors(&self, u: NodeId) -> SliceRef<'_, NodeId> {
+        // One epoch read per logical call, shared by both cache layers —
+        // a constant for every static backend, a lock-free region stamp
+        // for churning ones.
+        let cache = self.cache;
+        let current = cache.backend.epoch_of(u);
+        self.lookup(
+            &self.neighbors,
+            &cache.neighbors,
+            EndpointKind::Neighbors,
+            current,
+            u,
+            |u| cache.backend.fetch_neighbors_cost(u),
+        )
+    }
 
     fn labels(&self, u: NodeId) -> SliceRef<'_, LabelId> {
-        self.label_calls.set(self.label_calls.get() + 1);
         // Label reads compare against the *label* epoch, so backends that
         // split per-endpoint epochs (label-only churn) don't needlessly
         // invalidate this session's neighbor entries — and vice versa.
-        let current = self.cache.backend.label_epoch_of(u);
-        let degraded =
-            self.cache.serve_stale && self.cache.backend.endpoint_degraded(EndpointKind::Labels);
-        if let Some(l1) = &self.l1 {
-            if let Some(hit) = l1.labels.get(u.0, current, degraded) {
-                return SliceRef::Local(hit);
-            }
-        }
-        let (value, extra, served_stale) = self.cache.labels_shared(u, current, degraded);
-        if extra.attempts > 0 {
-            self.retry_charges
-                .set(self.retry_charges.get() + extra.attempts);
-        }
-        if extra.ticks > 0 {
-            self.latency_ticks
-                .set(self.latency_ticks.get() + extra.ticks);
-        }
-        if served_stale {
-            self.l2_stale_served.set(self.l2_stale_served.get() + 1);
-            return SliceRef::Shared(value);
-        }
-        if let Some(l1) = &self.l1 {
-            l1.labels.insert(u.0, &value, current);
-        }
-        SliceRef::Shared(value)
+        let cache = self.cache;
+        let current = cache.backend.label_epoch_of(u);
+        self.lookup(
+            &self.labels,
+            &cache.labels,
+            EndpointKind::Labels,
+            current,
+            u,
+            |u| cache.backend.fetch_labels_cost(u),
+        )
     }
 
     fn max_degree_bound(&self) -> usize {
@@ -1196,7 +1184,7 @@ impl<B: OsnBackend> OsnApi for OsnSession<'_, B> {
     }
 
     fn api_calls(&self) -> u64 {
-        self.neighbor_calls.get() + self.label_calls.get()
+        self.neighbors.calls.get() + self.labels.calls.get()
     }
 
     fn budget_exhausted(&self) -> bool {
@@ -1213,6 +1201,13 @@ impl<B: OsnBackend> OsnApi for OsnSession<'_, B> {
     }
 }
 
+impl<B> OsnSession<'_, B> {
+    /// Both endpoints' session-side counts, neighbor lists first.
+    fn tallies(&self) -> [EndpointTally; 2] {
+        [self.neighbors.tally(), self.labels.tally()]
+    }
+}
+
 /// Logical-call and L1-hit totals flush into the shared [`CallStats`]
 /// when the session ends — a handful of atomic adds per query instead of
 /// one per call, so parallel replicates never contend on a shared counter
@@ -1223,39 +1218,20 @@ impl<B: OsnBackend> OsnApi for OsnSession<'_, B> {
 /// stats stay interleaving-independent.
 impl<B> Drop for OsnSession<'_, B> {
     fn drop(&mut self) {
-        let n = self.neighbor_calls.get();
-        if n > 0 {
-            self.cache.logical_neighbor.fetch_add(n, Ordering::Relaxed);
-        }
-        let l = self.label_calls.get();
-        if l > 0 {
-            self.cache.logical_label.fetch_add(l, Ordering::Relaxed);
-        }
-        if let Some(l1) = &self.l1 {
-            let nh = l1.neighbors.hits.get();
-            if nh > 0 {
-                self.cache.l1_neighbor_hits.fetch_add(nh, Ordering::Relaxed);
+        let add = |counter: &AtomicU64, n: u64| {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
             }
-            let lh = l1.labels.hits.get();
-            if lh > 0 {
-                self.cache.l1_label_hits.fetch_add(lh, Ordering::Relaxed);
-            }
-            let st = l1.neighbors.stale.get() + l1.labels.stale.get();
-            if st > 0 {
-                self.cache
-                    .l1_stale_evictions
-                    .fetch_add(st, Ordering::Relaxed);
-            }
+        };
+        let mut served = self.l2_stale_served.get();
+        let shared = [&self.cache.neighbors.counters, &self.cache.labels.counters];
+        for (t, c) in self.tallies().into_iter().zip(shared) {
+            add(&c.logical, t.calls);
+            add(&c.l1_hits, t.l1_hits);
+            add(&self.cache.l1_stale_evictions, t.l1_stale);
+            served += t.l1_served_stale;
         }
-        let served = self.l2_stale_served.get()
-            + self
-                .l1
-                .as_ref()
-                .map(|l1| l1.neighbors.served_stale.get() + l1.labels.served_stale.get())
-                .unwrap_or(0);
-        if served > 0 {
-            self.cache.stale_served.fetch_add(served, Ordering::Relaxed);
-        }
+        add(&self.cache.stale_served, served);
     }
 }
 
@@ -1652,6 +1628,31 @@ mod tests {
     }
 
     #[test]
+    fn oversized_shard_and_l1_requests_are_clamped() {
+        // Rounding usize::MAX up to a power of two overflows; the builder
+        // clamps first, so the cache builds and serves.
+        let cfg = CacheConfig::builder()
+            .shards(usize::MAX)
+            .l1_slots(usize::MAX)
+            .build();
+        assert_eq!(cfg.shards(), MAX_SHARDS);
+        assert_eq!(cfg.l1_slots(), MAX_L1_SLOTS);
+        let g = path4();
+        let cache = CachedOsn::with_config(GraphOsn::new(&g), cfg);
+        let session = cache.session();
+        for u in 0..4 {
+            assert_eq!(&*session.neighbors(NodeId(u)), g.neighbors(NodeId(u)));
+            assert_eq!(&*session.labels(NodeId(u)), g.labels(NodeId(u)));
+        }
+        assert_eq!(&*session.neighbors(NodeId(1)), g.neighbors(NodeId(1)));
+        assert_eq!(session.l1_hits(), 1);
+        drop(session);
+        let st = cache.stats();
+        assert_eq!((st.neighbor_misses, st.label_misses), (4, 4));
+        assert_eq!(cache.cached_entries(), (4, 4));
+    }
+
+    #[test]
     fn max_degree_bound_forwards_to_backend() {
         let g = path4();
         let cache = CachedOsn::new(GraphOsn::new(&g));
@@ -1660,7 +1661,7 @@ mod tests {
     }
 
     /// A backend whose first neighbor fetch panics — the estimator-blows-up
-    /// scenario. The unwind happens while `neighbors_shared` holds the
+    /// scenario. The unwind happens while `fetch_shared` holds the
     /// shard's write lock, poisoning it.
     struct PanickyBackend<'g> {
         inner: GraphOsn<'g>,

@@ -14,6 +14,10 @@
 //! * `d'(u,v) = d(u) + d(v) − 2` (edges adjacent to `(u,v)`),
 //! * a uniform `G'`-neighbor of `(u,v)` is drawn by indexing into the
 //!   concatenation of `N(u)\{v}` and `N(v)\{u}`.
+//!
+//! Under churn the edge a walk stands on can be deleted. Both operations
+//! then still mean `N(u)\{v} ⊎ N(v)\{u}`: an endpoint is excluded from
+//! the other's side only when it is there.
 
 use labelcount_graph::{NodeId, TargetLabel};
 use rand::Rng;
@@ -81,74 +85,62 @@ impl<'a, A: OsnApi + ?Sized> LineGraphView<'a, A> {
         self.api.num_edges()
     }
 
-    /// Degree of a line node: `d(u) + d(v) − 2`. Two neighbor-list calls.
+    /// Degree of a line node: `d(u) + d(v) − 2` while `(u, v)` is an edge
+    /// of `G`, and `|N(u)∖{v}| + |N(v)∖{u}|` in general — churn can delete
+    /// the edge a walk stands on. Two neighbor-list calls.
     pub fn degree(&self, e: LineNode) -> usize {
-        self.api.degree(e.u) + self.api.degree(e.v) - 2
+        let nu = self.api.neighbors(e.u);
+        let nv = self.api.neighbors(e.v);
+        let (su, sv) = Self::side_degrees(&nu, &nv, e);
+        su + sv
     }
 
-    /// Samples a uniformly random `G'`-neighbor of `e`, or `None` if `e` is
-    /// an isolated edge of `G` (both endpoints degree 1).
+    /// Samples a uniformly random `G'`-neighbor of `e`, or `None` if `e`
+    /// has none (both endpoints have no friend besides each other).
     ///
-    /// The draw is exact (no rejection) and O(1) past the neighbor-list
-    /// fetches: an index into the multiset `N(u)\{v} ⊎ N(v)\{u}` is split by
-    /// the precomputed endpoint degrees, and the excluded endpoint is
-    /// remapped with the swap-with-last trick (`N(w)\{x}` is sampled by
-    /// drawing from the first `d(w)−1` slots and substituting the last slot
+    /// The draw is exact (no rejection) and O(log d) past the neighbor-list
+    /// fetches: an index into the multiset `N(u)\{v} ⊎ N(v)\{u}` is split
+    /// by the endpoint side sizes, and the excluded endpoint is remapped
+    /// with the swap-with-last trick (`N(w)\{x}` is sampled by drawing
+    /// from the first `d(w)−1` slots and substituting the last slot
     /// whenever `x` itself comes up — each remaining neighbor keeps
-    /// probability `1/(d(w)−1)`, no position scan or binary search needed).
-    /// Exactly two neighbor-list calls, always (the previous implementation
-    /// paid a third call whenever the draw landed on the `N(v)` side).
+    /// probability `1/(d(w)−1)`, no position scan needed). Exactly two
+    /// neighbor-list calls, always.
     pub fn sample_neighbor<R: Rng + ?Sized>(&self, e: LineNode, rng: &mut R) -> Option<LineNode> {
         let nu = self.api.neighbors(e.u);
         let nv = self.api.neighbors(e.v);
-        debug_assert!(
-            nu.binary_search(&e.v).is_ok() && nv.binary_search(&e.u).is_ok(),
-            "line node {e} must be an edge of G with symmetric adjacency"
-        );
-        let total = nu.len() + nv.len() - 2;
-        if total == 0 {
+        let (su, sv) = Self::side_degrees(&nu, &nv, e);
+        if su + sv == 0 {
             return None;
         }
-        let idx = rng.gen_range(0..total);
-        Some(Self::nth_adjacent(&nu, &nv, e, idx))
+        let idx = rng.gen_range(0..su + sv);
+        Some(Self::nth_adjacent(&nu, &nv, e, su, idx))
     }
 
-    /// The `i`-th `G'`-neighbor of `e` in the canonical enumeration of the
-    /// multiset `N(u)\{v} ⊎ N(v)\{u}` (the order
-    /// [`LineGraphView::sample_neighbor`] indexes into), or `None` when
-    /// `i >= d'(e)`. Two neighbor-list calls, O(1) past the fetches — the
-    /// building block of single-draw padded proposals, where one uniform
-    /// index both decides laziness and selects the neighbor.
-    pub fn neighbor_at(&self, e: LineNode, i: usize) -> Option<LineNode> {
-        let nu = self.api.neighbors(e.u);
-        let nv = self.api.neighbors(e.v);
-        debug_assert!(
-            nu.binary_search(&e.v).is_ok() && nv.binary_search(&e.u).is_ok(),
-            "line node {e} must be an edge of G with symmetric adjacency"
-        );
-        if i >= nu.len() + nv.len() - 2 {
-            return None;
-        }
-        Some(Self::nth_adjacent(&nu, &nv, e, i))
+    /// `(|N(u)∖{v}|, |N(v)∖{u}|)`: each side drops the other endpoint only
+    /// when it is actually there. On a static graph both are present and
+    /// this is `(d(u) − 1, d(v) − 1)`.
+    fn side_degrees(nu: &[NodeId], nv: &[NodeId], e: LineNode) -> (usize, usize) {
+        let su = nu.len() - usize::from(nu.binary_search(&e.v).is_ok());
+        let sv = nv.len() - usize::from(nv.binary_search(&e.u).is_ok());
+        (su, sv)
     }
 
-    /// Maps index `idx < d'(e)` to an adjacent edge: the index splits by
-    /// the precomputed endpoint degrees, and the excluded endpoint is
-    /// remapped with the swap-with-last trick (each remaining neighbor
-    /// keeps probability `1/(d(w)−1)` under a uniform index — no position
-    /// scan or binary search).
-    fn nth_adjacent(nu: &[NodeId], nv: &[NodeId], e: LineNode, idx: usize) -> LineNode {
-        let (du, dv) = (nu.len(), nv.len());
-        debug_assert!(idx < du + dv - 2);
-        if idx < du - 1 {
+    /// Maps index `idx < su + |N(v)∖{u}|` to an adjacent edge, where `su =
+    /// |N(u)∖{v}|`: the index splits at `su`, and an excluded endpoint is
+    /// remapped to its side's last slot (the swap-with-last trick; an
+    /// absent endpoint never comes up, and then `su` covers the whole
+    /// list).
+    fn nth_adjacent(nu: &[NodeId], nv: &[NodeId], e: LineNode, su: usize, idx: usize) -> LineNode {
+        if idx < su {
             // Pick slot idx of N(u) \ {v}.
             let w = nu[idx];
-            let w = if w == e.v { nu[du - 1] } else { w };
+            let w = if w == e.v { nu[nu.len() - 1] } else { w };
             LineNode::new(e.u, w)
         } else {
-            // Pick slot idx − (d(u)−1) of N(v) \ {u}.
-            let w = nv[idx - (du - 1)];
-            let w = if w == e.u { nv[dv - 1] } else { w };
+            // Pick slot idx − su of N(v) \ {u}.
+            let w = nv[idx - su];
+            let w = if w == e.u { nv[nv.len() - 1] } else { w };
             LineNode::new(e.v, w)
         }
     }
@@ -239,23 +231,38 @@ mod tests {
         let g = fixture();
         let osn = SimulatedOsn::new(&g);
         let lg = LineGraphView::new(&osn);
-        let e = LineNode::new(NodeId(1), NodeId(2));
-        // Adjacent edges: (0,1) via u=1; (0,2),(2,3) via v=2.
         let mut rng = StdRng::seed_from_u64(99);
-        let mut counts: HashMap<LineNode, usize> = HashMap::new();
-        let trials = 30_000;
-        for _ in 0..trials {
-            let n = lg.sample_neighbor(e, &mut rng).unwrap();
-            *counts.entry(n).or_insert(0) += 1;
-        }
-        assert_eq!(counts.len(), 3);
-        for (&n, &c) in &counts {
-            let frac = c as f64 / trials as f64;
-            assert!(
-                (frac - 1.0 / 3.0).abs() < 0.02,
-                "neighbor {n} frequency {frac}"
+        // Every edge, plus (0, 3) and (1, 3): pairs that are not edges, as
+        // when churn deletes the edge a walk stands on.
+        let pairs = g
+            .edges()
+            .chain([(NodeId(0), NodeId(3)), (NodeId(1), NodeId(3))]);
+        for (u, v) in pairs {
+            let e = LineNode::new(u, v);
+            let adjacent: Vec<LineNode> = g
+                .edges()
+                .map(|(a, b)| LineNode::new(a, b))
+                .filter(|&n| n != e && [n.u(), n.v()].iter().any(|&w| w == u || w == v))
+                .collect();
+            assert_eq!(lg.degree(e), adjacent.len(), "{e}");
+            let trials = 10_000 * adjacent.len();
+            let mut counts: HashMap<LineNode, usize> = HashMap::new();
+            for _ in 0..trials {
+                let n = lg.sample_neighbor(e, &mut rng).unwrap();
+                *counts.entry(n).or_insert(0) += 1;
+            }
+            assert_eq!(
+                counts.len(),
+                adjacent.len(),
+                "{e}: sampled a non-adjacent edge"
             );
-            assert_ne!(n, e);
+            for n in &adjacent {
+                let frac = counts[n] as f64 / trials as f64;
+                assert!(
+                    (frac - 1.0 / adjacent.len() as f64).abs() < 0.02,
+                    "{e}: neighbor {n} frequency {frac}"
+                );
+            }
         }
     }
 
@@ -264,10 +271,20 @@ mod tests {
         let g = fixture();
         let osn = SimulatedOsn::new(&g);
         let lg = LineGraphView::new(&osn);
-        for (u, v) in g.edges() {
+        // The index space `sample_neighbor` draws from, over every edge and
+        // over (0, 3) and (1, 3), pairs that are not edges.
+        let pairs = g
+            .edges()
+            .chain([(NodeId(0), NodeId(3)), (NodeId(1), NodeId(3))]);
+        for (u, v) in pairs {
             let e = LineNode::new(u, v);
+            let (nu, nv) = (osn.neighbors(e.u()), osn.neighbors(e.v()));
+            let (su, sv) = LineGraphView::<SimulatedOsn>::side_degrees(&nu, &nv, e);
             let d = lg.degree(e);
-            let mut seen: Vec<LineNode> = (0..d).map(|i| lg.neighbor_at(e, i).unwrap()).collect();
+            assert_eq!(su + sv, d, "{e}");
+            let mut seen: Vec<LineNode> = (0..d)
+                .map(|i| LineGraphView::<SimulatedOsn>::nth_adjacent(&nu, &nv, e, su, i))
+                .collect();
             seen.sort();
             seen.dedup();
             assert_eq!(seen.len(), d, "{e}: enumeration must be a bijection");
@@ -279,7 +296,6 @@ mod tests {
                     "{n} does not share an endpoint with {e}"
                 );
             }
-            assert_eq!(lg.neighbor_at(e, d), None, "{e}: out of range must be None");
         }
     }
 

@@ -3,7 +3,7 @@
 //! accounting on arbitrary graphs.
 
 use labelcount_graph::gen::barabasi_albert;
-use labelcount_graph::{GroundTruth, LabelId, LabeledGraph, NodeId, TargetLabel};
+use labelcount_graph::{GraphBuilder, GroundTruth, LabelId, LabeledGraph, NodeId, TargetLabel};
 use labelcount_osn::{LineGraphView, LineNode, OsnApi, SimulatedOsn};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,21 +20,56 @@ fn arb_labeled_ba() -> impl Strategy<Value = LabeledGraph> {
     })
 }
 
+/// `g` plus one isolated node (the last id), so that pairs with a
+/// degree-0 endpoint are covered too.
+fn with_isolated_node(g: &LabeledGraph) -> LabeledGraph {
+    let mut b = GraphBuilder::new(g.num_nodes() + 1);
+    for (u, v) in g.edges() {
+        b.add_edge(u, v);
+    }
+    for u in g.nodes() {
+        b.set_labels(u, g.labels(u));
+    }
+    b.build()
+}
+
+/// Every pair `u < v` that is *not* an edge of `g`: the line nodes a walk
+/// can stand on after churn deleted their edge.
+fn non_edges(g: &LabeledGraph) -> Vec<(NodeId, NodeId)> {
+    g.nodes()
+        .flat_map(|u| g.nodes().map(move |v| (u, v)))
+        .filter(|&(u, v)| u < v && !g.has_edge(u, v))
+        .collect()
+}
+
+/// `|N(u)∖{v}| + |N(v)∖{u}|`: the line degree of `(u, v)` whether or not
+/// it is an edge.
+fn expected_line_degree(g: &LabeledGraph, u: NodeId, v: NodeId) -> usize {
+    let side = |a: NodeId, b: NodeId| g.neighbors(a).iter().filter(|&&w| w != b).count();
+    side(u, v) + side(v, u)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn line_degree_identity_holds_everywhere(g in arb_labeled_ba()) {
+        let g = with_isolated_node(&g);
         let osn = SimulatedOsn::new(&g);
         let lg = LineGraphView::new(&osn);
         for (u, v) in g.edges() {
             let e = LineNode::new(u, v);
             prop_assert_eq!(lg.degree(e), g.degree(u) + g.degree(v) - 2);
         }
+        for (u, v) in non_edges(&g) {
+            let e = LineNode::new(u, v);
+            prop_assert_eq!(lg.degree(e), expected_line_degree(&g, u, v), "non-edge {}", e);
+        }
     }
 
     #[test]
     fn line_neighbors_share_an_endpoint(g in arb_labeled_ba(), seed in any::<u64>()) {
+        let g = with_isolated_node(&g);
         let osn = SimulatedOsn::new(&g);
         let lg = LineGraphView::new(&osn);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -45,6 +80,17 @@ proptest! {
                 prop_assert_ne!(n, e);
                 let shares = n.u() == u || n.u() == v || n.v() == u || n.v() == v;
                 prop_assert!(shares, "neighbor {n} does not touch {e}");
+            }
+        }
+        for (u, v) in non_edges(&g) {
+            let e = LineNode::new(u, v);
+            match lg.sample_neighbor(e, &mut rng) {
+                Some(n) => {
+                    prop_assert!(g.has_edge(n.u(), n.v()), "{n} is not an edge");
+                    let shares = n.u() == u || n.u() == v || n.v() == u || n.v() == v;
+                    prop_assert!(shares, "neighbor {n} does not touch {e}");
+                }
+                None => prop_assert_eq!(expected_line_degree(&g, u, v), 0),
             }
         }
     }

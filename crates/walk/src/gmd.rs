@@ -20,7 +20,6 @@ use crate::traits::{WalkableGraph, Walker};
 pub struct GmdWalk<N> {
     current: N,
     c: usize,
-    single_draw: bool,
 }
 
 impl<N: Copy> GmdWalk<N> {
@@ -30,24 +29,7 @@ impl<N: Copy> GmdWalk<N> {
     /// Panics if `c == 0`.
     pub fn new(start: N, c: usize) -> Self {
         assert!(c >= 1, "virtual degree c must be positive");
-        GmdWalk {
-            current: start,
-            c,
-            single_draw: false,
-        }
-    }
-
-    /// Switches the walk to **single-draw proposals**: one uniform index
-    /// in `[0, max(d(u), c))` both decides the lazy self-loop
-    /// (`index ≥ d(u)`) and selects the neighbor
-    /// ([`WalkableGraph::neighbor_at`]), instead of a laziness draw
-    /// followed by a neighbor draw. Identical stationary distribution
-    /// (`π(u) ∝ max(d(u), c)`), fewer RNG draws; opt-in because the RNG
-    /// *stream* differs from the legacy path the committed baselines were
-    /// produced with.
-    pub fn single_draw(mut self) -> Self {
-        self.single_draw = true;
-        self
+        GmdWalk { current: start, c }
     }
 
     /// Starts a walk with `c = δ · d_max` (clamped to at least 1), the
@@ -84,17 +66,6 @@ impl<G: WalkableGraph + ?Sized> Walker<G> for GmdWalk<G::Node> {
     fn step<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R) -> G::Node {
         let du = g.degree(self.current);
         if du == 0 {
-            return self.current;
-        }
-        if self.single_draw {
-            // One draw over the c-padded neighbor multiset: index < d(u)
-            // names the neighbor, the max(0, c − d(u)) tail is self-loops.
-            let idx = rng.gen_range(0..du.max(self.c));
-            if idx < du {
-                if let Some(v) = g.neighbor_at(self.current, idx) {
-                    self.current = v;
-                }
-            }
             return self.current;
         }
         let move_now = du >= self.c || rng.gen_range(0..self.c) < du;
@@ -156,27 +127,6 @@ mod tests {
             .map(|u| g.degree(u) as f64 / g.degree_sum() as f64)
             .collect();
         assert_tv_close(&freq, &expected, 0.02, "GMD c=1");
-    }
-
-    #[test]
-    fn single_draw_stationary_distribution_matches_legacy() {
-        let g = test_graph(505);
-        let osn = SimulatedOsn::new(&g);
-        let mut rng = StdRng::seed_from_u64(55);
-        let c = 6;
-        let walker = GmdWalk::new(NodeId(0), c).single_draw();
-        let freq = visit_frequencies(
-            &osn,
-            walker,
-            600_000,
-            g.num_nodes(),
-            |u| u.index(),
-            &mut rng,
-        );
-        let weights: Vec<f64> = g.nodes().map(|u| g.degree(u).max(c) as f64).collect();
-        let wsum: f64 = weights.iter().sum();
-        let expected: Vec<f64> = weights.iter().map(|w| w / wsum).collect();
-        assert_tv_close(&freq, &expected, 0.02, "single-draw GMD walk");
     }
 
     #[test]

@@ -27,18 +27,9 @@
 //! random walk exactly as the paper defines it (Eq. 23), by iterating the
 //! transition operator and measuring total-variation distance to the
 //! stationary distribution.
-//!
-//! Hot-path sampling: [`WalkableGraph`] exposes degree-proportional
-//! [`WalkableGraph::stationary_start`] draws (O(1) via
-//! [`labelcount_graph::AliasTable`] on the full-knowledge [`DenseGraph`];
-//! a bit-identical uniform fallback on restricted-access spaces) and
-//! [`WalkableGraph::neighbor_at`] indexing, which powers the opt-in
-//! single-draw proposal mode of [`MaxDegreeWalk`] and [`GmdWalk`] (one
-//! RNG draw per step instead of two).
 
 #![warn(missing_docs)]
 
-pub mod dense;
 pub mod gmd;
 pub mod maxdeg;
 pub mod mh;
@@ -48,7 +39,6 @@ pub mod rcmh;
 pub mod simple;
 pub mod traits;
 
-pub use dense::DenseGraph;
 pub use gmd::GmdWalk;
 pub use maxdeg::MaxDegreeWalk;
 pub use mh::MetropolisHastingsWalk;

@@ -17,7 +17,6 @@ pub struct MaxDegreeWalk<N> {
     dmax: usize,
     self_loops: u64,
     moves: u64,
-    single_draw: bool,
 }
 
 impl<N: Copy> MaxDegreeWalk<N> {
@@ -29,7 +28,6 @@ impl<N: Copy> MaxDegreeWalk<N> {
             dmax,
             self_loops: 0,
             moves: 0,
-            single_draw: false,
         }
     }
 
@@ -42,22 +40,7 @@ impl<N: Copy> MaxDegreeWalk<N> {
             dmax,
             self_loops: 0,
             moves: 0,
-            single_draw: false,
         }
-    }
-
-    /// Switches the walk to **single-draw proposals**: one uniform index
-    /// in `[0, d_max)` both decides the lazy self-loop (`index ≥ d(u)`)
-    /// and selects the neighbor ([`WalkableGraph::neighbor_at`]) —
-    /// exactly the "pad every state to `d_max` with self-loops, then walk
-    /// uniformly" definition executed literally, in half the RNG draws of
-    /// the legacy two-draw path. The stationary distribution is
-    /// identical (uniform); the RNG *stream* is not, which is why this is
-    /// opt-in — the default constructor keeps the bit-exact legacy stream
-    /// every committed baseline was produced with.
-    pub fn single_draw(mut self) -> Self {
-        self.single_draw = true;
-        self
     }
 
     /// Fraction of steps that were self-loops (diagnostic: high values mean
@@ -78,24 +61,12 @@ impl<G: WalkableGraph + ?Sized> Walker<G> for MaxDegreeWalk<G::Node> {
     }
 
     fn step<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R) -> G::Node {
+        // Under churn a state's degree can exceed the bound captured at
+        // construction: a node may grow past it, and a deleted line node
+        // (u, v) has degree d(u) + d(v), which can exceed 2·d_max − 2.
+        // The move is then certain: every index in [0, d_max) is below
+        // d(u).
         let du = g.degree(self.current);
-        debug_assert!(du <= self.dmax, "degree bound violated");
-        if self.single_draw {
-            // One draw: index < d(u) names the neighbor, index >= d(u) is
-            // one of the d_max − d(u) padding self-loops.
-            if du > 0 {
-                let idx = rng.gen_range(0..self.dmax);
-                if idx < du {
-                    if let Some(v) = g.neighbor_at(self.current, idx) {
-                        self.current = v;
-                        self.moves += 1;
-                        return self.current;
-                    }
-                }
-            }
-            self.self_loops += 1;
-            return self.current;
-        }
         if du > 0 && rng.gen_range(0..self.dmax) < du {
             if let Some(v) = g.sample_neighbor(self.current, rng) {
                 self.current = v;
@@ -155,48 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn single_draw_stationary_distribution_is_uniform_too() {
-        let g = test_graph(304);
-        let osn = SimulatedOsn::new(&g);
-        let mut rng = StdRng::seed_from_u64(34);
-        let walker = MaxDegreeWalk::new(&osn, NodeId(0)).single_draw();
-        let freq = visit_frequencies(
-            &osn,
-            walker,
-            600_000,
-            g.num_nodes(),
-            |u| u.index(),
-            &mut rng,
-        );
-        let expected = vec![1.0 / g.num_nodes() as f64; g.num_nodes()];
-        assert_tv_close(&freq, &expected, 0.02, "single-draw max-degree walk");
-    }
-
-    #[test]
-    fn single_draw_consumes_one_rng_value_per_step() {
-        use rand::RngCore;
-        let g = test_graph(305);
-        let osn = SimulatedOsn::new(&g);
-        // Reference stream: the raw u64 sequence the walk should consume
-        // one element of per step (Lemire rejection retries are
-        // vanishingly rare at these tiny spans, and determinism makes any
-        // retry identical across the two readers anyway).
-        let steps = 1_000;
-        let mut raw = StdRng::seed_from_u64(35);
-        let mut walked = StdRng::seed_from_u64(35);
-        let mut w = MaxDegreeWalk::new(&osn, NodeId(0)).single_draw();
-        for _ in 0..steps {
-            w.step(&osn, &mut walked);
-            raw.next_u64();
-        }
-        assert_eq!(
-            raw.next_u64(),
-            walked.next_u64(),
-            "single-draw stepping must consume exactly one draw per step"
-        );
-    }
-
-    #[test]
     fn self_loops_happen_on_skewed_graph() {
         let g = test_graph(303);
         let osn = SimulatedOsn::new(&g);
@@ -206,6 +135,43 @@ mod tests {
             walker.step(&osn, &mut rng);
         }
         assert!(walker.self_loop_rate() > 0.1);
+    }
+
+    #[test]
+    fn walk_off_a_deleted_edge_between_max_degree_nodes() {
+        use labelcount_graph::{ChurnEvent, GraphBuilder, MutableGraph};
+        use labelcount_osn::{LineGraphView, LineNode};
+
+        // Hubs 0 and 1 are joined and each has three leaves. Churn deletes
+        // the hub edge and gives each hub a new friend, so both are back at
+        // the maximum degree 4 and the dead line node (0, 1) has degree
+        // 4 + 4 = 8, above the line graph's bound 2·4 − 2 = 6.
+        let mut b = GraphBuilder::new(10);
+        b.add_edge(NodeId(0), NodeId(1));
+        for leaf in 2..5 {
+            b.add_edge(NodeId(0), NodeId(leaf));
+            b.add_edge(NodeId(1), NodeId(leaf + 3));
+        }
+        let mut live = MutableGraph::new(&b.build(), 0);
+        assert!(live.apply(ChurnEvent::DeleteEdge(NodeId(0), NodeId(1))));
+        assert!(live.apply(ChurnEvent::InsertEdge(NodeId(0), NodeId(8))));
+        assert!(live.apply(ChurnEvent::InsertEdge(NodeId(1), NodeId(9))));
+        let g = live.to_labeled_graph();
+        let osn = SimulatedOsn::new(&g);
+        let lg = LineGraphView::new(&osn);
+        let dead = LineNode::new(NodeId(0), NodeId(1));
+        assert_eq!(lg.max_degree_bound(), 6);
+        assert_eq!(lg.degree(dead), 8);
+
+        let mut rng = StdRng::seed_from_u64(36);
+        let mut walker = MaxDegreeWalk::new(&lg, dead);
+        let first = walker.step(&lg, &mut rng);
+        assert_ne!(first, dead, "a degree above the bound must move");
+        assert!(first.u() == NodeId(0) || first.u() == NodeId(1));
+        for _ in 0..200 {
+            let e = walker.step(&lg, &mut rng);
+            assert!(g.has_edge(e.u(), e.v()), "walked onto non-edge {e}");
+        }
     }
 
     #[test]

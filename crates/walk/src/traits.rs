@@ -24,32 +24,6 @@ pub trait WalkableGraph {
     /// in past the start.
     fn random_node<R: Rng + ?Sized>(&self, rng: &mut R) -> Self::Node;
 
-    /// The `i`-th neighbor of `u` in the space's canonical neighbor order
-    /// (the order [`WalkableGraph::sample_neighbor`] indexes into), or
-    /// `None` when `i >= degree(u)`. This is the building block of
-    /// **single-draw padded proposals**
-    /// ([`crate::MaxDegreeWalk::single_draw`],
-    /// [`crate::GmdWalk::single_draw`]): one uniform index both decides
-    /// the lazy self-loop *and* selects the neighbor, halving the RNG
-    /// draws of the maximum-degree walk family.
-    fn neighbor_at(&self, u: Self::Node, i: usize) -> Option<Self::Node>;
-
-    /// A start state drawn **degree-proportionally** — the stationary
-    /// distribution of the simple random walk, so a walk started here is
-    /// already mixed and needs zero burn-in.
-    ///
-    /// The default falls back to [`WalkableGraph::random_node`], consuming
-    /// the **bit-identical RNG stream** the legacy uniform start consumed:
-    /// restricted-access spaces (the OSN API, the implicit line graph)
-    /// cannot precompute the degree distribution without crawling it, and
-    /// silently changing their draw pattern would shift every downstream
-    /// estimate. Full-knowledge evaluation-side spaces
-    /// ([`crate::DenseGraph`]) override this with an O(1) alias-table draw
-    /// ([`labelcount_graph::AliasTable`]).
-    fn stationary_start<R: Rng + ?Sized>(&self, rng: &mut R) -> Self::Node {
-        self.random_node(rng)
-    }
-
     /// An upper bound on the maximum degree of the state space, used by
     /// the maximum-degree walks.
     fn max_degree_bound(&self) -> usize;
@@ -72,10 +46,6 @@ impl WalkableGraph for SimulatedOsn<'_> {
 
     fn random_node<R: Rng + ?Sized>(&self, rng: &mut R) -> NodeId {
         OsnApiExt::random_node(self, rng)
-    }
-
-    fn neighbor_at(&self, u: NodeId, i: usize) -> Option<NodeId> {
-        self.neighbors(u).get(i).copied()
     }
 
     fn max_degree_bound(&self) -> usize {
@@ -105,10 +75,6 @@ impl WalkableGraph for dyn OsnApi + '_ {
         OsnApiExt::random_node(self, rng)
     }
 
-    fn neighbor_at(&self, u: NodeId, i: usize) -> Option<NodeId> {
-        self.neighbors(u).get(i).copied()
-    }
-
     fn max_degree_bound(&self) -> usize {
         OsnApi::max_degree_bound(self)
     }
@@ -131,10 +97,6 @@ impl<A: OsnApi + ?Sized> WalkableGraph for LineGraphView<'_, A> {
 
     fn random_node<R: Rng + ?Sized>(&self, rng: &mut R) -> LineNode {
         self.random_start(rng)
-    }
-
-    fn neighbor_at(&self, e: LineNode, i: usize) -> Option<LineNode> {
-        LineGraphView::neighbor_at(self, e, i)
     }
 
     fn max_degree_bound(&self) -> usize {
@@ -254,51 +216,6 @@ mod tests {
         assert_eq!(WalkableGraph::max_degree_bound(&osn), 2);
         let n = WalkableGraph::sample_neighbor(&osn, NodeId(0), &mut rng).unwrap();
         assert_eq!(n, NodeId(1));
-    }
-
-    #[test]
-    fn default_stationary_start_replays_the_uniform_stream() {
-        // Restricted-access spaces fall back to `random_node` for
-        // `stationary_start`, consuming the bit-identical RNG stream — the
-        // compatibility contract alias-capable spaces are exempt from.
-        let mut b = GraphBuilder::new(5);
-        for v in 1..5u32 {
-            b.add_edge(NodeId(0), NodeId(v));
-        }
-        let g = b.build();
-        let osn = SimulatedOsn::new(&g);
-        let mut legacy = StdRng::seed_from_u64(33);
-        let mut stationary = StdRng::seed_from_u64(33);
-        for _ in 0..32 {
-            assert_eq!(
-                WalkableGraph::random_node(&osn, &mut legacy),
-                WalkableGraph::stationary_start(&osn, &mut stationary),
-            );
-        }
-        use rand::RngCore;
-        assert_eq!(legacy.next_u64(), stationary.next_u64());
-    }
-
-    #[test]
-    fn neighbor_at_indexes_the_sampling_order() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(NodeId(0), NodeId(1));
-        b.add_edge(NodeId(0), NodeId(2));
-        b.add_edge(NodeId(0), NodeId(3));
-        let g = b.build();
-        let osn = SimulatedOsn::new(&g);
-        for i in 0..3 {
-            assert_eq!(
-                WalkableGraph::neighbor_at(&osn, NodeId(0), i),
-                Some(NodeId(i as u32 + 1))
-            );
-        }
-        assert_eq!(WalkableGraph::neighbor_at(&osn, NodeId(0), 3), None);
-        assert_eq!(
-            WalkableGraph::neighbor_at(&osn, NodeId(1), 0),
-            Some(NodeId(0))
-        );
-        assert_eq!(WalkableGraph::neighbor_at(&osn, NodeId(1), 1), None);
     }
 
     #[test]

@@ -8,8 +8,8 @@ use labelcount_walk::mixing::{
     mixing_time_from_start, stationary_distribution, step_distribution, total_variation,
 };
 use labelcount_walk::{
-    DenseGraph, GmdWalk, MaxDegreeWalk, MetropolisHastingsWalk, NonBacktrackingWalk, RcmhWalk,
-    SimpleWalk, WalkableGraph, Walker,
+    GmdWalk, MaxDegreeWalk, MetropolisHastingsWalk, NonBacktrackingWalk, RcmhWalk, SimpleWalk,
+    Walker,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -100,59 +100,5 @@ proptest! {
         if let (Some(l), Some(t)) = (loose, tight) {
             prop_assert!(l <= t, "loose {l} > tight {t}");
         }
-    }
-
-    #[test]
-    fn single_draw_walks_stay_on_edges_too(g in arb_ba(), seed in any::<u64>()) {
-        let start = NodeId(0);
-        assert_walk_on_edges(&g, GmdWalk::new(start, 5).single_draw(), seed, 100);
-        let osn = SimulatedOsn::new(&g);
-        assert_walk_on_edges(&g, MaxDegreeWalk::new(&osn, start).single_draw(), seed, 100);
-    }
-
-    /// The full-knowledge [`DenseGraph`] must be RNG-stream compatible
-    /// with the restricted-access simulation: the same walker at the same
-    /// seed visits the bit-identical node sequence on either space, in
-    /// both the legacy and single-draw proposal modes.
-    #[test]
-    fn dense_graph_replays_simulated_walks(g in arb_ba(), seed in any::<u64>()) {
-        let dense = DenseGraph::new(&g);
-        let osn = SimulatedOsn::new(&g);
-        macro_rules! check_pair {
-            ($name:literal, $mk:expr) => {{
-                let mut rng_a = StdRng::seed_from_u64(seed);
-                let mut wa = $mk;
-                let a: Vec<NodeId> = (0..200).map(|_| wa.step(&dense, &mut rng_a)).collect();
-                let mut rng_b = StdRng::seed_from_u64(seed);
-                let mut wb = $mk;
-                let b: Vec<NodeId> = (0..200).map(|_| wb.step(&osn, &mut rng_b)).collect();
-                prop_assert_eq!(a, b, "{} diverged across spaces", $name);
-            }};
-        }
-        check_pair!("simple", SimpleWalk::new(NodeId(0)));
-        check_pair!("gmd", GmdWalk::new(NodeId(0), 4));
-        check_pair!("gmd single-draw", GmdWalk::new(NodeId(0), 4).single_draw());
-        check_pair!("maxdeg", MaxDegreeWalk::with_bound(NodeId(0), dense.max_degree_bound()));
-        check_pair!(
-            "maxdeg single-draw",
-            MaxDegreeWalk::with_bound(NodeId(0), dense.max_degree_bound()).single_draw()
-        );
-    }
-
-    /// `neighbor_at` is a bijection onto the neighbor set on every space,
-    /// so single-draw proposals are exactly uniform.
-    #[test]
-    fn neighbor_at_enumerates_neighbors_exactly(g in arb_ba(), u in 0u32..60) {
-        let u = NodeId(u % g.num_nodes() as u32);
-        let dense = DenseGraph::new(&g);
-        let osn = SimulatedOsn::new(&g);
-        let d = g.degree(u);
-        let via_dense: Vec<NodeId> =
-            (0..d).map(|i| dense.neighbor_at(u, i).unwrap()).collect();
-        let via_osn: Vec<NodeId> =
-            (0..d).map(|i| WalkableGraph::neighbor_at(&osn, u, i).unwrap()).collect();
-        prop_assert_eq!(&via_dense, &via_osn);
-        prop_assert_eq!(via_dense.as_slice(), g.neighbors(u));
-        prop_assert_eq!(dense.neighbor_at(u, d), None);
     }
 }
