@@ -1102,26 +1102,37 @@ impl PagedGraph {
             return Err(PagedError::Format("node count exceeds u32 id space".into()));
         }
         let actual = file.metadata()?.len();
-        let expect = header.total_pages * header.page_size;
-        if actual != expect {
+        if header.total_pages.checked_mul(header.page_size) != Some(actual) {
             return Err(PagedError::Format(format!(
-                "file is {actual} bytes, header declares {expect}"
+                "file is {actual} bytes, header declares {} pages of {}",
+                header.total_pages, header.page_size
             )));
         }
-        let pages_of = |bytes: u64| bytes.div_ceil(header.page_size).max(1);
-        let want_adj = header.neighbor_offsets_page + pages_of((header.num_nodes + 1) * 8);
-        let data_pages = header.label_data_page + pages_of(header.label_data_len * 4);
+        // Every header field is untrusted: section ends are computed with
+        // checked arithmetic, and an overflow is as inconsistent a layout as
+        // a mismatch.
+        let pages_of = |bytes: Option<u64>| Some(bytes?.div_ceil(header.page_size).max(1));
+        let offsets_pages = pages_of((header.num_nodes + 1).checked_mul(8));
+        let after = |start: u64, pages: Option<u64>| start.checked_add(pages?);
+        let data_pages = after(
+            header.label_data_page,
+            pages_of(header.label_data_len.checked_mul(4)),
+        );
         let layout_ok = header.neighbor_offsets_page == 1
-            && header.adjacency_page == want_adj
-            && header.label_offsets_page
-                == header.adjacency_page + pages_of(header.adjacency_len * 4)
-            && header.label_data_page
-                == header.label_offsets_page + pages_of((header.num_nodes + 1) * 8)
-            && if version >= 2 {
-                header.checksum_page == data_pages
-                    && header.total_pages == data_pages + pages_of(data_pages * 8)
-            } else {
-                header.total_pages == data_pages
+            && Some(header.adjacency_page) == after(header.neighbor_offsets_page, offsets_pages)
+            && Some(header.label_offsets_page)
+                == after(
+                    header.adjacency_page,
+                    pages_of(header.adjacency_len.checked_mul(4)),
+                )
+            && Some(header.label_data_page) == after(header.label_offsets_page, offsets_pages)
+            && match (version >= 2, data_pages) {
+                (_, None) => false,
+                (true, Some(data)) => {
+                    header.checksum_page == data
+                        && Some(header.total_pages) == after(data, pages_of(data.checked_mul(8)))
+                }
+                (false, Some(data)) => header.total_pages == data,
             };
         if !layout_ok {
             return Err(PagedError::Format("inconsistent section layout".into()));
@@ -1476,6 +1487,42 @@ mod tests {
             PagedGraph::open(&bad, PoolConfig::unbounded()),
             Err(PagedError::Format(_))
         ));
+    }
+
+    /// A header whose sizes overflow u64 when multiplied out is a format
+    /// error, not an arithmetic panic.
+    #[test]
+    fn open_rejects_overflowing_header_sizes() {
+        let mut head = [0u8; HEADER_BYTES];
+        head[0..8].copy_from_slice(&PAGED_MAGIC);
+        head[8..12].copy_from_slice(&2u32.to_le_bytes());
+        head[12..16].copy_from_slice(&4096u32.to_le_bytes());
+        head[88..96].copy_from_slice(&(u64::MAX / 1000).to_le_bytes()); // total_pages
+        let bad = temp_file("overflow_total");
+        std::fs::write(&bad, head).unwrap();
+        assert!(matches!(
+            PagedGraph::open(&bad, PoolConfig::unbounded()),
+            Err(PagedError::Format(_))
+        ));
+
+        // A consistent file size, but section starts and lengths at the
+        // top of the u64 range.
+        head[88..96].copy_from_slice(&1u64.to_le_bytes());
+        for field in [24, 40, 56, 64, 72, 80] {
+            let mut head = head;
+            head[field..field + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let mut bytes = head.to_vec();
+            bytes.resize(4096, 0);
+            let bad = temp_file("overflow_field");
+            std::fs::write(&bad, bytes).unwrap();
+            assert!(
+                matches!(
+                    PagedGraph::open(&bad, PoolConfig::unbounded()),
+                    Err(PagedError::Format(_))
+                ),
+                "header field at byte {field}"
+            );
+        }
     }
 
     #[test]

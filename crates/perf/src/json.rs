@@ -41,6 +41,19 @@ impl Json {
         }
     }
 
+    /// Nested member lookup along a dotted path (`"engine.l1_hits"`).
+    pub fn at(&self, path: &str) -> Option<&Json> {
+        path.split('.').try_fold(self, |v, key| v.get(key))
+    }
+
+    /// Mutable [`Json::at`].
+    pub fn at_mut(&mut self, path: &str) -> Option<&mut Json> {
+        path.split('.').try_fold(self, |v, key| match v {
+            Json::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        })
+    }
+
     /// The value as `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -52,7 +65,8 @@ impl Json {
     /// The value as `u64`, if it is a non-negative integral number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which is out of range.
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x < u64::MAX as f64 => {
                 Some(*x as u64)
             }
             _ => None,
@@ -135,7 +149,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::at(pos, "trailing characters after document"));
@@ -206,6 +220,29 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+impl From<u64> for Json {
+    fn from(x: u64) -> Json {
+        Json::Num(x as f64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(x: f64) -> Json {
+        Json::Num(x)
+    }
+}
+
+impl From<&[f64]> for Json {
+    fn from(xs: &[f64]) -> Json {
+        Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect())
+    }
+}
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The report schema
+/// nests four levels; the cap keeps a hostile document from overflowing
+/// the parser's stack.
+const MAX_DEPTH: usize = 32;
+
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -221,8 +258,14 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(JsonError::at(
+            *pos,
+            format!("nesting deeper than {MAX_DEPTH}"),
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(JsonError::at(*pos, "unexpected end of input")),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -238,7 +281,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -263,7 +306,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -416,6 +459,26 @@ mod tests {
         assert_eq!(doc.get("zzz"), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-2.0).as_u64(), None);
+        // 2^64 is one past u64::MAX: rejected, not saturated.
+        assert_eq!(Json::Num(18_446_744_073_709_551_616.0).as_u64(), None);
+        assert_eq!(Json::Num(9_007_199_254_740_992.0).as_u64(), Some(1 << 53));
+        let nested = Json::obj(vec![("a", Json::obj(vec![("b", Json::Num(4.0))]))]);
+        assert_eq!(nested.at("a.b").and_then(Json::as_u64), Some(4));
+        assert_eq!(nested.at("a.zzz"), None);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // Exactly at the cap still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
+        let objs = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objs).is_err());
     }
 
     #[test]

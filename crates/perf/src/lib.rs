@@ -17,7 +17,8 @@
 //!
 //! Reports split into a deterministic `counters` section (bit-identical
 //! across same-seed runs — tested) and a machine-dependent `measured`
-//! section (gated by [`compare`] with a generous ratio threshold).
+//! section (gated by [`compare`] with a generous ratio threshold). Every
+//! field of both is one row of [`report::METRICS`].
 //!
 //! Run it with `cargo run -p labelcount-perf -- --tier smoke`; compare with
 //! `cargo run -p labelcount-perf -- compare --baseline . --current out/`.

@@ -18,6 +18,8 @@ use std::process::ExitCode;
 
 use labelcount_perf::alloc_track::CountingAlloc;
 use labelcount_perf::compare::{compare_dirs_opts, markdown_summary, min_speedup_findings};
+use labelcount_perf::json::Json;
+use labelcount_perf::report::{Report, METRICS};
 use labelcount_perf::scenario::{
     run_scenario, BurstLevel, DeadlineTightness, Family, PoolFrames, ScenarioSpec, Tier,
     DEFAULT_BURST, DEFAULT_CHURN_RATE, DEFAULT_DEADLINE, DEFAULT_FAULT_RATE, DEFAULT_POOL_FRAMES,
@@ -141,59 +143,47 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             churn_rate,
             burst,
         };
-        eprintln!("running scenario {} ...", spec.name());
+        eprintln!(
+            "running scenario {} (deadline {}, pool {}, churn {churn_rate}, burst {}) ...",
+            spec.name(),
+            deadline.name(),
+            pool_frames.label(),
+            burst.name()
+        );
         let report = run_scenario(&spec);
         let path = out.join(report.file_name());
         std::fs::write(&path, report.to_json().to_pretty())
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        let m = &report.measured;
-        let s = &report.serving;
-        eprintln!(
-            "  serving: {} requests -> {} admitted / {} shed / {} quota-exhausted ({:.1} ms serial / {:.1} ms parallel)",
-            s.requests, s.admitted, s.shed, s.quota_exhausted,
-            m.serving_serial_ms, m.serving_parallel_ms,
-        );
-        let p = &report.paging;
-        if p.page_reads > 0 {
-            eprintln!(
-                "  paging ({} frames): {} page reads / {} pool hits ({:.1}% hit rate), {} evictions, pinned peak {} ({:.0} ns/fault)",
-                pool_frames.label(), p.page_reads, p.pool_hits,
-                100.0 * p.pool_hits as f64 / (p.pool_hits + p.page_reads).max(1) as f64,
-                p.evictions, p.pinned_peak, m.page_fault_ns,
-            );
-        }
-        let sc = &report.scheduling;
-        eprintln!(
-            "  scheduler ({}): {} deadline hits / {} cancellations, mean slack {:.1} ticks, {} inversions ({:.1} ms)",
-            deadline.name(), sc.deadline_hits, sc.cancellations, sc.mean_slack_ticks,
-            sc.priority_inversions, m.scheduler_ms,
-        );
-        let iv = &report.invalidation;
-        eprintln!(
-            "  churn (rate {churn_rate}): {} batches / {} events -> {} L1 + {} L2 stale evictions, {} avoided",
-            iv.churn_batches, iv.churn_events, iv.l1_stale_evictions, iv.l2_stale_evictions,
-            iv.avoided_invalidations,
-        );
-        let ft = &report.faults;
-        eprintln!(
-            "  faults (burst {}): {} bursts -> {} breaker opens, {} stale served, {} storage retries, {} throttled",
-            burst.name(), ft.bursts, ft.breaker_opens, ft.stale_served, ft.storage_retries,
-            ft.quota_throttled,
-        );
-        eprintln!(
-            "  {:>10} nodes {:>10} edges | walk {:>12.0} steps/s per-step, {:>12.0} batched, {:>11.0} line | gt {:.1} ms serial / {:.1} ms parallel | {:.0} ms total -> {}",
-            report.meta.nodes,
-            report.meta.edges,
-            m.per_step_steps_per_sec,
-            m.batched_steps_per_sec,
-            m.line_steps_per_sec,
-            m.gt_serial_ms,
-            m.gt_parallel_ms,
-            m.total_ms,
-            path.display()
-        );
+        print_summary(&report);
+        let (nodes, edges) = (report.meta.nodes, report.meta.edges);
+        eprintln!("  {nodes} nodes, {edges} edges -> {}", path.display());
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// One stderr line per report section: every scalar metric of
+/// [`METRICS`], in table order (arrays and flags are left to the JSON).
+fn print_summary(report: &Report) {
+    let mut line = String::new();
+    let mut section = "";
+    for m in METRICS.iter().filter(|m| !m.section.contains("[]")) {
+        let Some(x) = report.get(&m.path()).and_then(Json::as_f64) else {
+            continue;
+        };
+        if m.section != section {
+            if !line.is_empty() {
+                eprintln!("{line}");
+            }
+            section = m.section;
+            line = format!("  {section}:");
+        }
+        line += &if x.fract() == 0.0 {
+            format!(" {}={x:.0}", m.name)
+        } else {
+            format!(" {}={x:.3}", m.name)
+        };
+    }
+    eprintln!("{line}");
 }
 
 fn cmd_compare(args: &[String]) -> Result<ExitCode, String> {
@@ -212,7 +202,7 @@ fn cmd_compare(args: &[String]) -> Result<ExitCode, String> {
             "--max-regression" => {
                 let v = take_value(args, &mut i, "--max-regression")?;
                 max_regression = v.parse().map_err(|_| format!("bad threshold `{v}`"))?;
-                if max_regression < 1.0 {
+                if !(1.0..).contains(&max_regression) {
                     return Err("--max-regression must be >= 1.0".into());
                 }
             }
@@ -220,7 +210,7 @@ fn cmd_compare(args: &[String]) -> Result<ExitCode, String> {
             "--min-parallel-speedup" => {
                 let v = take_value(args, &mut i, "--min-parallel-speedup")?;
                 let floor: f64 = v.parse().map_err(|_| format!("bad speedup floor `{v}`"))?;
-                if floor < 1.0 {
+                if !(1.0..).contains(&floor) {
                     return Err("--min-parallel-speedup must be >= 1.0".into());
                 }
                 min_speedup = Some(floor);

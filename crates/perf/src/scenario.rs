@@ -39,11 +39,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::alloc_track;
-use crate::report::{
-    AlgoCounters, EngineCounters, FaultCounters, InvalidationCounters, Measured, PagingCounters,
-    Report, ScenarioMeta, SchedulerCounters, ServingCounters, WalkCounters, WorkloadCounters,
-    SCHEMA_VERSION,
-};
+use crate::json::Json;
+use crate::report::{Report, ScenarioMeta, SCHEMA_VERSION};
 
 /// Graph family axis of the matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -559,6 +556,21 @@ fn finite_nrmse(estimates: &[f64], truth: f64) -> Option<f64> {
     }
 }
 
+/// One `counters.algorithms` entry.
+fn algorithm_counters(abbrev: &str, estimates: &[f64], api_calls: u64, nrmse: Option<f64>) -> Json {
+    Json::obj(vec![
+        ("abbrev", Json::Str(abbrev.to_string())),
+        ("estimates", estimates.into()),
+        ("api_calls", api_calls.into()),
+        ("nrmse", nrmse.map_or(Json::Null, Json::Num)),
+    ])
+}
+
+/// A section of integer counters, in the given order.
+fn u64_section(fields: &[(&str, u64)]) -> Json {
+    Json::obj(fields.iter().map(|&(k, x)| (k, x.into())).collect())
+}
+
 /// Runs one scenario end to end and assembles its [`Report`].
 pub fn run_scenario(spec: &ScenarioSpec) -> Report {
     let scenario_start = Instant::now();
@@ -652,12 +664,13 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             estimates.push(sanitize(e));
             api_calls += osn.api_calls();
         }
-        algo_counters.push(AlgoCounters {
-            abbrev: alg.abbrev().to_string(),
-            nrmse: finite_nrmse(&estimates, gt.f as f64),
-            estimates,
+        let nrmse = finite_nrmse(&estimates, gt.f as f64);
+        algo_counters.push(algorithm_counters(
+            alg.abbrev(),
+            &estimates,
             api_calls,
-        });
+            nrmse,
+        ));
     }
 
     // --- Extensions: label-refined motifs and graph-size estimation.
@@ -685,12 +698,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             estimates.push(sanitize(f(&osn, &mut rng)));
             api_calls += osn.api_calls();
         }
-        AlgoCounters {
-            abbrev: abbrev.to_string(),
-            nrmse: truth.and_then(|t| finite_nrmse(&estimates, t)),
-            estimates,
-            api_calls,
-        }
+        let nrmse = truth.and_then(|t| finite_nrmse(&estimates, t));
+        algorithm_counters(abbrev, &estimates, api_calls, nrmse)
     };
 
     algo_counters.push(ext(
@@ -772,9 +781,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
         t0.elapsed().as_nanos() as f64 / (probe_rounds as u64 * probe_nodes as u64) as f64;
     drop(probe);
     // The serial engine's warm L2 holds every fetched list — graph-scale
-    // state that would otherwise stay live (the `EngineCounters` binding
-    // below shadows this `Engine` without dropping it) and inflate the
-    // alloc window of every later phase.
+    // state that would otherwise stay live until the end of the scenario
+    // and inflate the alloc window of every later phase.
     drop(engine);
 
     let engine_cold = Engine::new(&g);
@@ -811,14 +819,14 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
     );
     drop(engine_cold);
 
-    let engine = EngineCounters {
-        replicates: engine_reps as u64,
-        estimates: engine_estimates,
-        logical_api_calls: engine_stats.logical_calls(),
-        miss_api_calls: engine_stats.misses(),
-        l1_hits: engine_stats.l1_hits(),
-        hit_rate: engine_stats.hit_rate(),
-    };
+    let engine = Json::obj(vec![
+        ("replicates", (engine_reps as u64).into()),
+        ("estimates", engine_estimates[..].into()),
+        ("logical_api_calls", engine_stats.logical_calls().into()),
+        ("miss_api_calls", engine_stats.misses().into()),
+        ("l1_hits", engine_stats.l1_hits().into()),
+        ("hit_rate", engine_stats.hit_rate().into()),
+    ]);
 
     // --- Workload: the multi-query service under fire. A mixed Table-2
     // workload runs through per-query adversarial stacks (seeded faults:
@@ -865,23 +873,33 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
         "workload retry charges must be worker-count independent"
     );
 
-    let workload = WorkloadCounters {
-        queries: wl_queries as u64,
-        fault_rate: spec.fault_rate,
-        estimates: wl_serial
-            .outcomes
-            .iter()
-            .map(|o| sanitize(o.estimate.as_ref().ok().copied().unwrap_or(f64::NAN)))
-            .collect(),
-        logical_api_calls: wl_serial.total_logical_calls(),
-        backend_attempts: wl_serial.total_backend_attempts(),
-        retry_charges: wl_serial.total_retry_charges(),
-        rate_limited: wl_serial.outcomes.iter().map(|o| o.rate_limited).sum(),
-        transient_errors: wl_serial.outcomes.iter().map(|o| o.transient_errors).sum(),
-        budget_exhausted_queries: wl_serial.budget_exhausted_queries(),
-        latency_ticks_p50: wl_serial.latency_ticks_percentile(50.0).unwrap_or(0.0),
-        latency_ticks_p95: wl_serial.latency_ticks_percentile(95.0).unwrap_or(0.0),
-    };
+    let wl_estimates: Vec<f64> = wl_serial
+        .outcomes
+        .iter()
+        .map(|o| sanitize(o.estimate.as_ref().ok().copied().unwrap_or(f64::NAN)))
+        .collect();
+    let rate_limited: u64 = wl_serial.outcomes.iter().map(|o| o.rate_limited).sum();
+    let transient_errors: u64 = wl_serial.outcomes.iter().map(|o| o.transient_errors).sum();
+    let latency_percentile = |p: f64| wl_serial.latency_ticks_percentile(p).unwrap_or(0.0);
+    let workload = Json::obj(vec![
+        ("queries", (wl_queries as u64).into()),
+        ("fault_rate", spec.fault_rate.into()),
+        ("estimates", wl_estimates[..].into()),
+        ("logical_api_calls", wl_serial.total_logical_calls().into()),
+        (
+            "backend_attempts",
+            wl_serial.total_backend_attempts().into(),
+        ),
+        ("retry_charges", wl_serial.total_retry_charges().into()),
+        ("rate_limited", rate_limited.into()),
+        ("transient_errors", transient_errors.into()),
+        (
+            "budget_exhausted_queries",
+            wl_serial.budget_exhausted_queries().into(),
+        ),
+        ("latency_ticks_p50", latency_percentile(50.0).into()),
+        ("latency_ticks_p95", latency_percentile(95.0).into()),
+    ]);
 
     // --- Serving: the sharded multi-graph service under a skewed
     // multi-tenant stream. The scenario graph is registered under four
@@ -979,15 +997,16 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
         ),
         "admission decisions must be shard- and worker-count independent"
     );
-    let serving = ServingCounters {
-        shards: SERVING_GRAPHS,
-        tenants: SERVING_TENANTS as u64,
-        requests: serving_requests as u64,
-        admitted: serving_serial.serving.admitted,
-        shed: serving_serial.serving.shed,
-        quota_exhausted: serving_serial.serving.quota_exhausted,
-        tenant_fairness: serving_serial.serving.tenant_fairness,
-    };
+    let sv = &serving_serial.serving;
+    let serving = Json::obj(vec![
+        ("shards", SERVING_GRAPHS.into()),
+        ("tenants", (SERVING_TENANTS as u64).into()),
+        ("requests", (serving_requests as u64).into()),
+        ("admitted", sv.admitted.into()),
+        ("shed", sv.shed.into()),
+        ("quota_exhausted", sv.quota_exhausted.into()),
+        ("tenant_fairness", sv.tenant_fairness.into()),
+    ]);
 
     // --- Scheduler: the same multi-tenant stream replayed through the
     // virtual-time event loop under a calibrated deadline. The fault model
@@ -1074,12 +1093,12 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
     let sched = scheduler_serial
         .scheduling
         .expect("scheduled runs report scheduling counters");
-    let scheduling = SchedulerCounters {
-        deadline_hits: sched.deadline_hits,
-        cancellations: sched.cancellations,
-        mean_slack_ticks: sched.mean_slack_ticks,
-        priority_inversions: sched.priority_inversions,
-    };
+    let scheduling = Json::obj(vec![
+        ("deadline_hits", sched.deadline_hits.into()),
+        ("cancellations", sched.cancellations.into()),
+        ("mean_slack_ticks", sched.mean_slack_ticks.into()),
+        ("priority_inversions", sched.priority_inversions.into()),
+    ]);
 
     // --- Out-of-core: the paged-CSR backend behind the buffer pool. The
     // scenario graph is written to a paged CSR file once, then every
@@ -1117,7 +1136,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             PagedGraphOsn::open(&path, cfg).expect("reopen the paged CSR file just written")
         };
 
-        let mut paging = PagingCounters::default();
+        let mut paging = PagingStats::default();
         let mut absorb = |s: PagingStats| {
             paging.page_reads += s.page_reads;
             paging.pool_hits += s.pool_hits;
@@ -1142,8 +1161,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             .map(|r| sanitize(r.expect("unbudgeted estimation on a connected component")))
             .collect();
         assert_eq!(
-            engine
-                .estimates
+            engine_estimates
                 .iter()
                 .map(|e| e.to_bits())
                 .collect::<Vec<_>>(),
@@ -1275,8 +1293,14 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
         let _ = std::fs::remove_file(&path);
         (paging, page_fault_ns, storage_retries)
     } else {
-        (PagingCounters::default(), 0.0, 0)
+        (PagingStats::default(), 0.0, 0)
     };
+    let paging = u64_section(&[
+        ("page_reads", paging.page_reads),
+        ("pool_hits", paging.pool_hits),
+        ("evictions", paging.evictions),
+        ("pinned_peak", paging.pinned_peak),
+    ]);
 
     // --- Dynamic graphs: the engine's replicated load re-run over a
     // churned backend whose seeded schedule is advanced at serial control
@@ -1309,8 +1333,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             .collect();
         if spec.churn_rate == 0.0 {
             assert_eq!(
-                engine
-                    .estimates
+                engine_estimates
                     .iter()
                     .map(|e| e.to_bits())
                     .collect::<Vec<_>>(),
@@ -1346,21 +1369,23 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
 
         let stats = engine_churn.stats();
         let churn = engine_churn.backend().churn_stats();
-        let invalidation = InvalidationCounters {
-            churn_batches: churn.batches,
-            churn_events: churn.events_applied(),
-            l1_stale_evictions: stats.l1_stale_evictions,
-            l2_stale_evictions: stats.l2_stale_evictions,
-            avoided_invalidations: engine_churn.backend().avoided_neighbor_invalidations(),
-        };
+        let invalidation = [
+            ("churn_batches", churn.batches),
+            ("churn_events", churn.events_applied()),
+            ("l1_stale_evictions", stats.l1_stale_evictions),
+            ("l2_stale_evictions", stats.l2_stale_evictions),
+            (
+                "avoided_invalidations",
+                engine_churn.backend().avoided_neighbor_invalidations(),
+            ),
+        ];
         if spec.churn_rate == 0.0 {
-            assert_eq!(
-                invalidation,
-                InvalidationCounters::default(),
-                "churn rate 0 must apply no batches and evict nothing"
+            assert!(
+                invalidation.iter().all(|&(_, x)| x == 0),
+                "churn rate 0 must apply no batches and evict nothing: {invalidation:?}"
             );
         }
-        invalidation
+        u64_section(&invalidation)
     };
 
     // --- Faults: the resilience layer under correlated outage bursts.
@@ -1375,8 +1400,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
     // probe (a session whose warm entries go stale across an epoch bump,
     // re-probed under a breaker-opening storm) pins `stale_served`
     // structurally rather than hoping the stream aligns bursts with churn.
-    let faults = match spec.burst.config() {
-        None => FaultCounters::default(),
+    let (bursts, breaker_opens, stale_served, quota_throttled) = match spec.burst.config() {
+        None => (0, 0, 0, 0),
         Some(burst) => {
             let faults_seed = replication_seed(spec.seed, stream::FAULTS);
             let resilience = ResilienceConfig {
@@ -1481,17 +1506,75 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             bursts += storm_stats.bursts;
             breaker_opens += storm_stats.breaker_opens;
 
-            FaultCounters {
-                bursts,
-                breaker_opens,
-                stale_served,
-                storage_retries,
-                quota_throttled,
-            }
+            (bursts, breaker_opens, stale_served, quota_throttled)
         }
     };
+    let faults = u64_section(&[
+        ("bursts", bursts),
+        ("breaker_opens", breaker_opens),
+        ("stale_served", stale_served),
+        ("storage_retries", storage_retries),
+        ("quota_throttled", quota_throttled),
+    ]);
 
     let alloc = alloc_track::delta(alloc_before, alloc_track::snapshot());
+    let counters = Json::obj(vec![
+        (
+            "walk",
+            Json::obj(vec![
+                ("steps", (steps as u64).into()),
+                ("per_step_end", (per_step_end.index() as u64).into()),
+                ("batched_end", (batched_end.index() as u64).into()),
+                (
+                    "line_end",
+                    Json::Arr(vec![
+                        (line_end.u().index() as u64).into(),
+                        (line_end.v().index() as u64).into(),
+                    ]),
+                ),
+                ("line_api_calls", line_api_calls.into()),
+            ]),
+        ),
+        ("algorithms", Json::Arr(algo_counters)),
+        ("engine", engine),
+        ("workload", workload),
+        ("serving", serving),
+        ("scheduling", scheduling),
+        ("paging", paging),
+        ("invalidation", invalidation),
+        ("faults", faults),
+        ("ground_truth_f", (gt.f as u64).into()),
+    ]);
+    let ratio = |num: f64, den_ms: f64| if den_ms > 0.0 { num / den_ms } else { 0.0 };
+    let measured = Report::measured_section(
+        &[
+            ("total_ms", ms(scenario_start)),
+            ("per_step_steps_per_sec", rate(steps, per_step_ms)),
+            ("batched_steps_per_sec", rate(steps, batched_ms)),
+            ("line_steps_per_sec", rate(line_steps, line_ms)),
+            ("gt_serial_ms", gt_serial_ms),
+            ("gt_parallel_ms", gt_parallel_ms),
+            ("engine_serial_ms", engine_serial_ms),
+            ("engine_parallel_ms", engine_parallel_ms),
+            (
+                "engine_parallel_speedup",
+                ratio(engine_serial_ms, engine_parallel_ms),
+            ),
+            ("hit_path_ns", hit_path_ns),
+            ("workload_serial_ms", workload_serial_ms),
+            ("workload_parallel_ms", workload_parallel_ms),
+            (
+                "workload_queries_per_sec",
+                rate(wl_queries, workload_parallel_ms),
+            ),
+            ("serving_serial_ms", serving_serial_ms),
+            ("serving_parallel_ms", serving_parallel_ms),
+            ("scheduler_ms", scheduler_ms),
+            ("page_fault_ns", page_fault_ns),
+            ("calibration_ops_per_sec", calibration_ops_per_sec()),
+        ],
+        alloc,
+    );
     Report {
         schema_version: SCHEMA_VERSION,
         meta: ScenarioMeta {
@@ -1506,51 +1589,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Report {
             reps: reps as u64,
             threads: threads as u64,
         },
-        walk: WalkCounters {
-            steps: steps as u64,
-            per_step_end: per_step_end.index() as u64,
-            batched_end: batched_end.index() as u64,
-            line_end: (line_end.u().index() as u64, line_end.v().index() as u64),
-            line_api_calls,
-        },
-        algorithms: algo_counters,
-        engine,
-        workload,
-        serving,
-        scheduling,
-        paging,
-        invalidation,
-        faults,
-        ground_truth_f: gt.f as u64,
-        measured: Measured {
-            total_ms: ms(scenario_start),
-            per_step_steps_per_sec: rate(steps, per_step_ms),
-            batched_steps_per_sec: rate(steps, batched_ms),
-            line_steps_per_sec: rate(line_steps, line_ms),
-            gt_serial_ms,
-            gt_parallel_ms,
-            engine_serial_ms,
-            engine_parallel_ms,
-            engine_parallel_speedup: if engine_parallel_ms > 0.0 {
-                engine_serial_ms / engine_parallel_ms
-            } else {
-                0.0
-            },
-            hit_path_ns,
-            workload_serial_ms,
-            workload_parallel_ms,
-            workload_queries_per_sec: if workload_parallel_ms > 0.0 {
-                wl_queries as f64 / (workload_parallel_ms / 1e3)
-            } else {
-                0.0
-            },
-            serving_serial_ms,
-            serving_parallel_ms,
-            scheduler_ms,
-            page_fault_ns,
-            calibration_ops_per_sec: calibration_ops_per_sec(),
-            alloc,
-        },
+        counters,
+        measured,
     }
 }
 
